@@ -2,13 +2,15 @@
 
 Every command writes plain-text tables whose header lines echo the full
 configuration and package version, and is byte-reproducible under a fixed
-seed. Exit code 0 on success, 2 on a configuration error.
+seed. Exit code 0 on success, 2 on a configuration error. A fault of the
+program itself is not a configuration error and surfaces as a traceback.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import numpy as np
 from . import __version__
 from .circuits import CONSTANT_DEPTH_FAMILIES, FAMILIES, build_circuit
 from .engine import (
+    CeilingError,
     RunConfig,
     joint_x_expectation,
     output_fidelity,
@@ -38,6 +41,17 @@ _CARDINALS = dict(CARDINAL_INPUTS)
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def _config_errors(kind: type[ValueError] = ValueError):
+    """Re-raise ``kind`` as ConfigError: the input is at fault, not the program."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except kind as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_flat_config(text: str) -> dict[str, str]:
@@ -64,7 +78,8 @@ def load_noise(spec: str) -> NoiseModel | None:
         if not path.is_file():
             raise ConfigError(f"noise file {spec!r} not found")
         text = path.read_text()
-    return NoiseModel.from_mapping(parse_flat_config(text))
+    with _config_errors():
+        return NoiseModel.from_mapping(parse_flat_config(text))
 
 
 def parse_input(spec: str) -> InputState:
@@ -76,10 +91,12 @@ def parse_input(spec: str) -> InputState:
         key, _, value = item.partition("=")
         if key.strip() not in ("theta", "phi") or not value:
             raise ConfigError(f"bad input spec {spec!r}; use e.g. theta=1.5708,phi=0")
-        values[key.strip()] = float(value)
+        with _config_errors():
+            values[key.strip()] = float(value)
     if "theta" not in values:
         raise ConfigError("input spec needs a theta value")
-    return InputState(values["theta"], values.get("phi", 0.0))
+    with _config_errors():
+        return InputState(values["theta"], values.get("phi", 0.0))
 
 
 _RATE_KEYS = {
@@ -101,8 +118,10 @@ def parse_rates(pairs: list[str] | None) -> ErrorRates:
                 f"bad rate {item!r}; known keys: {', '.join(sorted(_RATE_KEYS))}"
             )
         field = _RATE_KEYS[key]
-        kwargs[field] = value if field == "idle_law" else float(value)
-    return ErrorRates(**kwargs)
+        with _config_errors():
+            kwargs[field] = value if field == "idle_law" else float(value)
+    with _config_errors():
+        return ErrorRates(**kwargs)
 
 
 def _header(command: str, pairs: list[tuple[str, object]]) -> list[str]:
@@ -131,11 +150,13 @@ def _rates_pairs(rates: ErrorRates) -> list[tuple[str, object]]:
 def cmd_simulate(args) -> int:
     noise = load_noise(args.noise)
     inp = parse_input(args.input)
-    circuit = build_circuit(args.family, args.n)
-    config = RunConfig(
-        input=inp, noise=noise, mode=args.mode, shots=args.shots, seed=args.seed
-    )
-    result = run(circuit, config)
+    with _config_errors():
+        circuit = build_circuit(args.family, args.n)
+        config = RunConfig(
+            input=inp, noise=noise, mode=args.mode, shots=args.shots, seed=args.seed
+        )
+    with _config_errors(CeilingError):
+        result = run(circuit, config)
     fid = output_fidelity(result, inp)
     jx = joint_x_expectation(result)
     header = _header(
@@ -169,19 +190,22 @@ def cmd_sweep(args) -> int:
     noise = load_noise(args.noise)
     if args.points < 4:
         raise ConfigError("sweep needs at least four points for the sinusoid fit")
-    if args.sweep == "theta":
-        angles = np.linspace(0.0, math.pi, args.points)
-        inputs = [InputState(a, args.phi) for a in angles]
-    else:
-        angles = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
-        inputs = [InputState(args.theta, a) for a in angles]
-    circuit = build_circuit(args.family, args.n)
+    with _config_errors():
+        if args.sweep == "theta":
+            angles = np.linspace(0.0, math.pi, args.points)
+            inputs = [InputState(a, args.phi) for a in angles]
+        else:
+            angles = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
+            inputs = [InputState(args.theta, a) for a in angles]
+        circuit = build_circuit(args.family, args.n)
+        configs = [
+            RunConfig(input=inp, noise=noise, mode=args.mode, shots=args.shots, seed=args.seed)
+            for inp in inputs
+        ]
     rows, fids, jxs = [], [], []
-    for angle, inp in zip(angles, inputs):
-        config = RunConfig(
-            input=inp, noise=noise, mode=args.mode, shots=args.shots, seed=args.seed
-        )
-        result = run(circuit, config)
+    for angle, inp, config in zip(angles, inputs, configs):
+        with _config_errors(CeilingError):
+            result = run(circuit, config)
         fid = output_fidelity(result, inp)
         jx = joint_x_expectation(result)
         fids.append(fid)
@@ -223,8 +247,10 @@ def cmd_tomo(args) -> int:
     inp = parse_input(args.input)
     if args.shots < 1:
         raise ConfigError("tomography needs at least one shot per setting")
-    circuit = build_circuit(args.family, args.n)
-    truth = run_exact(circuit, RunConfig(input=inp, noise=noise)).output_state
+    with _config_errors():
+        circuit = build_circuit(args.family, args.n)
+    with _config_errors(CeilingError):
+        truth = run_exact(circuit, RunConfig(input=inp, noise=noise)).output_state
     rng = np.random.default_rng(args.seed)
     confusion = noise.confusion if noise is not None else None
     data = tomo.collect_tomogram(truth, args.shots, confusion, rng)
@@ -381,7 +407,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

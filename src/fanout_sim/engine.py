@@ -4,9 +4,13 @@ Exact mode walks the layered circuit on a density matrix (statevector when
 noiseless), enumerating every measurement branch (true outcome times
 reported outcome under readout confusion), applying the conditional
 recovery implied by the reported bits, and averaging the surviving output
-states. Trajectory mode unravels the same model into per-shot pure states
-with sampled Pauli errors, readout flips, and either physical recovery
-(feedforward) or a recorded Pauli frame (frame update).
+states. All live branches are stacked into one batched state, next to
+their weights and reported bits, so each gate, noise channel, idle slot and
+measurement is one kernel call across every branch; each branch still gets
+exactly the bits a walk of its own would give. Trajectory mode unravels the
+same model into per-shot pure states with sampled Pauli errors, readout
+flips, and either physical recovery (feedforward) or a recorded Pauli frame
+(frame update).
 """
 from __future__ import annotations
 
@@ -59,6 +63,11 @@ DENSITY_QUBIT_CEILING = 12
 PURE_QUBIT_CEILING = 20
 
 _HALF_PI = math.pi / 2.0
+
+
+class CeilingError(ValueError):
+    """The register is larger than the requested simulation mode supports."""
+
 
 # Recovery pulses: X is one pulse; Z is decomposed into three x/y rotations
 # (equal to Z up to a global phase).
@@ -149,75 +158,90 @@ class _Walk:
         self.noise = config.noise
         self.alive = list(range(circuit.qubit_count))
         self.idle_by_layer = _idle_by_layer(circuit)
-        self.table = (
-            build_lookup_table(circuit.n_outputs) if circuit.measure_count else None
-        )
+        self.measure_count = circuit.measure_count
+        self.slots = range(self.measure_count // 2)
+        self.table = build_lookup_table(circuit.n_outputs) if self.measure_count else None
 
     def pos(self, qubit: int) -> int:
         return self.alive.index(qubit)
 
     def outcome(self, z_bits: dict[int, int], x_bits: dict[int, int]) -> BellOutcome:
-        slots = range(self.circuit.measure_count // 2)
         return BellOutcome(
-            z=tuple(z_bits[s] for s in slots), x=tuple(x_bits[s] for s in slots)
+            z=tuple(z_bits[s] for s in self.slots), x=tuple(x_bits[s] for s in self.slots)
         )
 
     def recovery_indices(self, outcome: BellOutcome) -> tuple[int, ...]:
         return self.table[outcome.key()]
 
 
+def _members(state: PureState | DensityState) -> np.ndarray:
+    """The stacked array of a batched state, one member per branch."""
+    return state.amplitudes if isinstance(state, PureState) else state.matrix
+
+
 def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
-    """Exact output state by full measurement-branch enumeration."""
+    """Exact output state by full measurement-branch enumeration.
+
+    Every live branch is one member of a single batched state, next to its
+    weight and its reported-bit key (interleaved z1 x1 z2 x2 ...), so each
+    operation is one kernel call across all branches.
+    """
     noise = config.noise
     ceiling = PURE_QUBIT_CEILING if noise is None else DENSITY_QUBIT_CEILING
     if circuit.qubit_count > ceiling:
-        raise ValueError(
+        raise CeilingError(
             f"{circuit.qubit_count} qubits exceed the {ceiling}-qubit exact ceiling"
         )
     walk = _Walk(circuit, config)
     n_out = circuit.n_outputs
     pure_mode = noise is None
-    state0 = (
-        PureState.zeros(circuit.qubit_count)
-        if pure_mode
-        else DensityState.zeros(circuit.qubit_count)
-    )
-    # Branch tuples: (weight, state, z bits, x bits).
-    branches: list[list] = [[1.0, state0, {}, {}]]
+    single = (PureState if pure_mode else DensityState).zeros(circuit.qubit_count)
+    state = type(single)(_members(single)[None], validate=False)  # a batch of one branch
+    weights = [1.0]
+    keys = ["?" * walk.measure_count]
 
     for layer_idx, layer in enumerate(circuit.layers):
         for op in layer.ops:
             if isinstance(op, DecoupleOp):
                 continue
             if isinstance(op, MeasureOp):
-                branches = _branch_measurement(walk, branches, op)
+                state, weights, keys = _branch_measurement(walk, state, weights, keys, op)
                 walk.alive.remove(op.qubit)
-                continue
-            for br in branches:
-                _apply_op_exact(walk, br, op)
-        for qubit, duration in walk.idle_by_layer.get(layer_idx, ()):
-            if noise is None:
-                continue
-            p = noise.idle_probability(duration * 1e-9)
-            q = walk.pos(qubit)
-            for br in branches:
-                apply_depolarizing(br[1], (q,), p)
+            elif isinstance(op, PrepareInputOp):
+                q = walk.pos(op.qubit)
+                state.prepare_input(q, config.input)
+                if noise is not None:
+                    apply_depolarizing(state, (q,), noise.single_qubit_depol)
+            elif isinstance(op, GateOp):
+                targets = tuple(walk.pos(q) for q in op.targets)
+                state.apply_matrix(op.matrix(), targets)
+                if noise is not None:
+                    p = noise.two_qubit_depol if len(targets) == 2 else noise.single_qubit_depol
+                    apply_depolarizing(state, targets, p)
+            elif isinstance(op, (RecoverOp, FrameMarkOp)):
+                _recover(walk, state, keys, op)
+            else:
+                raise TypeError(f"unexpected operation {op!r}")
+        if noise is not None:
+            for qubit, duration in walk.idle_by_layer.get(layer_idx, ()):
+                p = noise.idle_probability(duration * 1e-9)
+                apply_depolarizing(state, (walk.pos(qubit),), p)
 
     assert walk.alive == list(circuit.outputs)
-    total = sum(br[0] for br in branches)
+    # Sequential sums in branch order: a pairwise np.sum would move the low bits.
+    total = sum(weights)
     dim = 2**n_out
     acc = np.zeros((dim, dim), dtype=complex)
     histogram: dict[str, float] = {}
     kept_pure: list[tuple[str, float, PureState]] = []
-    for weight, state, z_bits, x_bits in branches:
-        key = walk.outcome(z_bits, x_bits).key() if circuit.measure_count else ""
+    for key, weight, member in zip(keys, weights, _members(state)):
         prob = weight / total
         histogram[key] = histogram.get(key, 0.0) + prob
         if pure_mode:
-            acc += prob * np.outer(state.amplitudes, state.amplitudes.conj())
-            kept_pure.append((key, prob, state))
+            acc += prob * np.outer(member, member.conj())
+            kept_pure.append((key, prob, PureState(member, validate=False)))
         else:
-            acc += prob * state.matrix
+            acc += prob * member
     return RunResult(
         family=circuit.family,
         n_outputs=n_out,
@@ -229,57 +253,54 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
     )
 
 
-def _apply_op_exact(walk: _Walk, br: list, op) -> None:
-    noise = walk.noise
-    state = br[1]
-    if isinstance(op, PrepareInputOp):
-        state.prepare_input(walk.pos(op.qubit), walk.config.input)
-        if noise is not None:
-            apply_depolarizing(state, (walk.pos(op.qubit),), noise.single_qubit_depol)
-    elif isinstance(op, GateOp):
-        targets = tuple(walk.pos(q) for q in op.targets)
-        state.apply_matrix(op.matrix(), targets)
-        if noise is not None:
-            p = noise.two_qubit_depol if len(targets) == 2 else noise.single_qubit_depol
-            apply_depolarizing(state, targets, p)
-    elif isinstance(op, (RecoverOp, FrameMarkOp)):
-        indices = walk.recovery_indices(walk.outcome(br[2], br[3]))
-        q = walk.pos(op.qubit)
-        for pulse in _recovery_pulses(indices[op.output_index - 1]):
-            state.apply_matrix(pulse, (q,))
-            if (
-                walk.config.noisy_recovery
-                and noise is not None
-                and isinstance(op, RecoverOp)
-            ):
-                apply_depolarizing(state, (q,), noise.single_qubit_depol)
-    else:
-        raise TypeError(f"unexpected operation {op!r}")
+def _branch_measurement(walk: _Walk, state, weights: list, keys: list[str], op: MeasureOp):
+    """Split every branch on a Z measurement and its reported bit.
 
-
-def _branch_measurement(walk: _Walk, branches: list[list], op: MeasureOp) -> list[list]:
-    noise = walk.noise
+    Children keep the order parent, true outcome, reported bit (true first),
+    and a child whose weight falls below ``BRANCH_PRUNE`` is dropped.
+    """
     q = walk.pos(op.qubit)
-    out: list[list] = []
-    for weight, state, z_bits, x_bits in branches:
-        for outcome, post, prob in state.branch_z(q):
-            if isinstance(post, PureState):
-                reduced = post.remove_collapsed(q, outcome)
-            else:
-                reduced = post.discard_qubits((q,))
-            conf = noise.confusion_for(op.qubit) if noise is not None else None
-            flip = 0.0 if conf is None else (conf.p01 if outcome == 1 else conf.p10)
-            first = True
+    split = state.branch_z(q)
+    if isinstance(state, PureState):
+        reduced = [post.remove_collapsed(q, outcome) for outcome, post, _ in split]
+    else:
+        reduced = [post.discard_qubits((q,)) for _, post, _ in split]
+    conf = walk.noise.confusion_for(op.qubit) if walk.noise is not None else None
+    flips = (0.0, 0.0) if conf is None else (conf.p10, conf.p01)  # by true outcome
+    col = 2 * op.slot + (op.role == "x")
+    outcomes, parents, new_weights, new_keys = [], [], [], []
+    for parent, (weight, key) in enumerate(zip(weights, keys)):
+        for outcome, _, probs in split:
+            flip = flips[outcome]
             for reported, w in ((outcome, 1.0 - flip), (1 - outcome, flip)):
-                new_weight = weight * prob * w
+                new_weight = weight * probs[parent] * w
                 if new_weight < BRANCH_PRUNE:
                     continue
-                st = reduced if first else reduced.copy()
-                first = False
-                bits = dict(z_bits), dict(x_bits)
-                bits[0 if op.role == "z" else 1][op.slot] = reported
-                out.append([new_weight, st, bits[0], bits[1]])
-    return out
+                outcomes.append(outcome)
+                parents.append(parent)
+                new_weights.append(new_weight)
+                new_keys.append(f"{key[:col]}{reported}{key[col + 1:]}")
+    children = np.stack([_members(r) for r in reduced])[outcomes, parents]
+    return type(state)(children, validate=False), new_weights, new_keys
+
+
+def _recover(walk: _Walk, state, keys: list[str], op: RecoverOp | FrameMarkOp) -> None:
+    """Apply each branch's recovery pulses, one group per recovery index."""
+    q = walk.pos(op.qubit)
+    noise = walk.noise
+    noisy = walk.config.noisy_recovery and noise is not None and isinstance(op, RecoverOp)
+    index = np.array([walk.table[key][op.output_index - 1] for key in keys])
+    members = _members(state)
+    for value in (1, 2, 3):
+        rows = np.flatnonzero(index == value)
+        if not rows.size:
+            continue
+        group = type(state)(members[rows], validate=False)
+        for pulse in _recovery_pulses(value):
+            group.apply_matrix(pulse, (q,))
+            if noisy:
+                apply_depolarizing(group, (q,), noise.single_qubit_depol)
+        members[rows] = _members(group)
 
 
 def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
@@ -287,7 +308,7 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     if config.mode != "trajectories":
         raise ValueError("run_trajectory requires trajectory mode")
     if circuit.qubit_count > PURE_QUBIT_CEILING:
-        raise ValueError(
+        raise CeilingError(
             f"{circuit.qubit_count} qubits exceed the "
             f"{PURE_QUBIT_CEILING}-qubit statevector ceiling"
         )
@@ -342,7 +363,7 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
                 if noise is None:
                     continue
                 _sample_error(state, walk, (qubit,), noise.idle_probability(duration * 1e-9), rng)
-        key = walk.outcome(z_bits, x_bits).key() if circuit.measure_count else ""
+        key = walk.outcome(z_bits, x_bits).key() if walk.measure_count else ""
         histogram[key] = histogram.get(key, 0) + 1
         records.append(ShotRecord(outcome_key=key, frame=frame, state=state))
 

@@ -190,7 +190,12 @@ class NoiseModel:
 
 
 def apply_depolarizing(state: DensityState, qubits, p: float) -> DensityState:
-    """Depolarize the target qubits: rho -> (1-p) rho + p * (mixed x rest)."""
+    """Depolarize the target qubits in place: rho -> (1-p) rho + p * (mixed x rest).
+
+    Works on a batch of density matrices too. The diagonal blocks are summed
+    in the order ``np.trace`` uses on one state (sequentially, or pairwise
+    when the targets are the whole register), so results are bit-stable.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
     targets = tuple(int(q) for q in qubits)
@@ -200,22 +205,25 @@ def apply_depolarizing(state: DensityState, qubits, p: float) -> DensityState:
         state._check_qubit(q)
     if p == 0.0:
         return state
-    n = state.n
-    k = len(targets)
-    dim_t = 2**k
-    row_axes = targets
-    col_axes = tuple(n + q for q in targets)
-    t = np.moveaxis(state._tensor(), row_axes + col_axes, tuple(range(2 * k)))
-    rest = t.shape[2 * k :]
-    t = t.reshape((dim_t, dim_t) + rest).copy()
-    tau = np.trace(t, axis1=0, axis2=1)
-    t *= 1.0 - p
-    for i in range(dim_t):
-        t[i, i] += (p / dim_t) * tau
-    t = t.reshape((2,) * (2 * k) + rest)
-    t = np.moveaxis(t, tuple(range(2 * k)), row_axes + col_axes)
-    dim = 2**n
-    state.matrix = t.reshape(dim, dim)
+    if not (state.matrix.flags.c_contiguous and state.matrix.flags.writeable):
+        state.matrix = state.matrix.copy()
+    t = state._tensor()
+    lead, n = len(state.batch), state.n
+    blocks = []
+    for bits in product((0, 1), repeat=len(targets)):
+        index = [slice(None)] * t.ndim
+        for q, b in zip(targets, bits):
+            index[lead + q] = index[lead + n + q] = slice(b, b + 1)  # a view, never a scalar
+        blocks.append(t[tuple(index)])
+    if len(blocks) == 4 and n == 2:
+        tau = (blocks[0] + blocks[1]) + (blocks[2] + blocks[3])
+    else:
+        tau = blocks[0] + blocks[1]
+        for block in blocks[2:]:
+            tau += block
+    state.matrix *= 1.0 - p
+    for block in blocks:
+        block += (p / len(blocks)) * tau
     return state
 
 

@@ -4,6 +4,14 @@ Basis convention: qubit 0 is the most significant bit, so the
 computational-basis index of |q0 q1 ... q_{n-1}> is sum_i q_i * 2**(n-1-i).
 State objects are single-owner and mutated in place; pass explicit RNG
 streams to every stochastic operation.
+
+A state may also hold a batch: its array then carries leading axes (the
+``batch`` shape) in front of the qubit axes. The kernels ``apply_matrix``,
+``prepare_input``, ``probabilities_z``, ``branch_z``, ``discard_qubits``,
+``remove_collapsed`` and ``noise.apply_depolarizing`` act on the trailing
+qubit axes, so one call updates every member and an unbatched state is a
+batch of one. Each member gets exactly the bits it would get on its own.
+The remaining methods expect an unbatched state.
 """
 from __future__ import annotations
 
@@ -14,6 +22,9 @@ import numpy as np
 
 NORM_ATOL = 1e-12
 PSD_CLAMP = 1e-10
+
+#: Measurement outcomes below this probability are not branched on.
+ZERO_PROB = 1e-14
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -152,19 +163,60 @@ def _apply_to_axes(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> 
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
+def _zero_other(tensor: np.ndarray, axes: tuple[int, ...], outcome: int) -> np.ndarray:
+    """Zero, in place, every entry whose index on one of ``axes`` is not ``outcome``."""
+    for axis in axes:
+        index = [slice(None)] * tensor.ndim
+        index[axis] = 1 - outcome
+        tensor[tuple(index)] = 0.0
+    return tensor
+
+
+def _per_member(values: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` over the last axis of each batch member, one member at a
+    time: a batched reduction could order its additions differently."""
+    if values.ndim == 1:
+        return reduce(values)
+    flat = values.reshape(-1, values.shape[-1])
+    return np.array([reduce(v) for v in flat]).reshape(values.shape[:-1] + (-1,))
+
+
+def _outcomes(probs: np.ndarray):
+    """(outcome, probability, divisor) for each Z outcome to branch on.
+
+    Unbatched, an outcome below ``ZERO_PROB`` is left out. In a batch every
+    outcome is kept; a member below ``ZERO_PROB`` reads probability 0 and
+    divisor 1, so its state stays unnormalized and its caller drops it.
+    """
+    for outcome in (0, 1):
+        if probs.ndim == 1:
+            p = probs[outcome]
+            if p >= ZERO_PROB:
+                yield outcome, p, p
+            continue
+        p = probs[..., outcome]
+        live = p >= ZERO_PROB
+        yield outcome, np.where(live, p, 0.0), np.where(live, p, 1.0)
+
+
 class PureState:
     """Pure statevector over ``n`` qubits, mutated in place."""
 
     def __init__(self, amplitudes: np.ndarray, validate: bool = True):
         amps = np.asarray(amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
+        dim = amps.shape[-1] if amps.ndim else 0
+        if dim == 0 or dim & (dim - 1):
             raise ValueError("amplitudes must be a complex vector of length 2^n")
         self.amplitudes = amps
-        self.n = amps.size.bit_length() - 1
+        self.n = dim.bit_length() - 1
         if validate:
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > 1e-9:
+            norm = np.linalg.norm(amps, axis=-1)
+            if np.any(np.abs(norm - 1.0) > 1e-9):
                 raise ValueError(f"statevector norm {norm} is not 1")
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return self.amplitudes.shape[:-1]
 
     @classmethod
     def zeros(cls, count: int) -> "PureState":
@@ -178,7 +230,7 @@ class PureState:
         return PureState(self.amplitudes.copy(), validate=False)
 
     def _tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n)
+        return self.amplitudes.reshape(self.batch + (2,) * self.n)
 
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.n:
@@ -187,19 +239,21 @@ class PureState:
     def prepare_input(self, qubit: int, inp: InputState) -> "PureState":
         """Load an input superposition onto a qubit currently in |0>."""
         self._check_qubit(qubit)
-        t = np.moveaxis(self._tensor(), qubit, 0)
+        axis = len(self.batch) + qubit
+        t = np.moveaxis(self._tensor(), axis, 0)
         if np.linalg.norm(t[1]) > 1e-9:
             raise ValueError("prepare_input target must be in |0>")
         a0, a1 = inp.amplitudes()
         t[1] = a1 * t[0]
         t[0] = a0 * t[0]
-        self.amplitudes = np.moveaxis(t, 0, qubit).reshape(-1)
+        self.amplitudes = np.moveaxis(t, 0, axis).reshape(self.amplitudes.shape)
         return self
 
     def apply_matrix(self, u: np.ndarray, targets: tuple[int, ...]) -> "PureState":
         for q in targets:
             self._check_qubit(q)
-        self.amplitudes = _apply_to_axes(self._tensor(), u, tuple(targets)).reshape(-1)
+        axes = tuple(len(self.batch) + q for q in targets)
+        self.amplitudes = _apply_to_axes(self._tensor(), u, axes).reshape(self.amplitudes.shape)
         return self
 
     def apply_gate(self, gate: GateOp) -> "PureState":
@@ -214,8 +268,13 @@ class PureState:
 
     def probabilities_z(self, qubit: int) -> np.ndarray:
         self._check_qubit(qubit)
-        t = np.moveaxis(self._tensor(), qubit, 0).reshape(2, -1)
-        return np.array([np.vdot(t[0], t[0]).real, np.vdot(t[1], t[1]).real])
+        shape = (2,) * self.n
+
+        def reduce(amps):
+            t = np.moveaxis(amps.reshape(shape), qubit, 0).reshape(2, -1)
+            return np.array([np.vdot(t[0], t[0]).real, np.vdot(t[1], t[1]).real])
+
+        return _per_member(self.amplitudes, reduce)
 
     def measure_z(self, qubit: int, rng: np.random.Generator, force: int | None = None):
         """Projective Z measurement. Returns (outcome, self, probability)."""
@@ -224,35 +283,33 @@ class PureState:
             outcome = 1 if rng.random() < probs[1] else 0
         else:
             outcome = int(force)
-            if probs[outcome] < 1e-14:
+            if probs[outcome] < ZERO_PROB:
                 raise ValueError(f"forced outcome {outcome} has zero probability")
         p = probs[outcome]
-        t = np.moveaxis(self._tensor(), qubit, 0)
-        t[1 - outcome] = 0.0
-        self.amplitudes = np.moveaxis(t, 0, qubit).reshape(-1) / math.sqrt(p)
+        t = _zero_other(self._tensor(), (qubit,), outcome)
+        self.amplitudes = t.reshape(self.amplitudes.shape) / math.sqrt(p)
         return outcome, self, p
 
     def branch_z(self, qubit: int):
-        """Both Z branches as fresh states: list of (outcome, state, prob)."""
-        probs = self.probabilities_z(qubit)
+        """Both Z branches as fresh states: list of (outcome, state, prob).
+
+        For a batch, ``prob`` holds one probability per member (see ``_outcomes``).
+        """
+        axes = (len(self.batch) + qubit,)
         branches = []
-        for outcome in (0, 1):
-            p = probs[outcome]
-            if p < 1e-14:
-                continue
-            t = np.moveaxis(self._tensor(), qubit, 0).copy()
-            t[1 - outcome] = 0.0
-            amps = np.moveaxis(t, 0, qubit).reshape(-1) / math.sqrt(p)
+        for outcome, p, divisor in _outcomes(self.probabilities_z(qubit)):
+            t = _zero_other(self._tensor().copy(), axes, outcome)
+            amps = t.reshape(self.amplitudes.shape) / np.sqrt(divisor)[..., None]
             branches.append((outcome, PureState(amps, validate=False), p))
         return branches
 
     def remove_collapsed(self, qubit: int, outcome: int) -> "PureState":
         """Drop a qubit whose state has collapsed to |outcome>."""
         self._check_qubit(qubit)
-        t = np.moveaxis(self._tensor(), qubit, 0)
+        t = np.moveaxis(self._tensor(), len(self.batch) + qubit, 0)
         if np.linalg.norm(t[1 - outcome]) > 1e-9:
             raise ValueError("qubit is not collapsed to the requested outcome")
-        self.amplitudes = t[outcome].reshape(-1)
+        self.amplitudes = t[outcome].reshape(self.batch + (-1,))
         self.n -= 1
         return self
 
@@ -270,12 +327,16 @@ class DensityState:
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] & (m.shape[0] - 1):
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] & (m.shape[-1] - 1):
             raise ValueError("density matrix must be square with dimension 2^n")
         self.matrix = m
-        self.n = m.shape[0].bit_length() - 1
+        self.n = m.shape[-1].bit_length() - 1
         if validate:
             self.validate()
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return self.matrix.shape[:-2]
 
     @classmethod
     def zeros(cls, count: int) -> "DensityState":
@@ -306,7 +367,7 @@ class DensityState:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
     def _tensor(self) -> np.ndarray:
-        return self.matrix.reshape((2,) * (2 * self.n))
+        return self.matrix.reshape(self.batch + (2,) * (2 * self.n))
 
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.n:
@@ -321,11 +382,10 @@ class DensityState:
     def apply_matrix(self, u: np.ndarray, targets: tuple[int, ...]) -> "DensityState":
         for q in targets:
             self._check_qubit(q)
-        t = self._tensor()
-        t = _apply_to_axes(t, u, tuple(targets))
-        t = _apply_to_axes(t, u.conj(), tuple(self.n + q for q in targets))
-        dim = 2**self.n
-        self.matrix = t.reshape(dim, dim)
+        lead = len(self.batch)
+        t = _apply_to_axes(self._tensor(), u, tuple(lead + q for q in targets))
+        t = _apply_to_axes(t, u.conj(), tuple(lead + self.n + q for q in targets))
+        self.matrix = t.reshape(self.matrix.shape)
         return self
 
     def apply_gate(self, gate: GateOp) -> "DensityState":
@@ -333,9 +393,10 @@ class DensityState:
 
     def probabilities_z(self, qubit: int) -> np.ndarray:
         self._check_qubit(qubit)
-        diag = np.real(np.diagonal(self.matrix)).reshape((2,) * self.n)
+        shape = (2,) * self.n
         other = tuple(i for i in range(self.n) if i != qubit)
-        return diag.sum(axis=other)
+        diag = np.real(np.diagonal(self.matrix, axis1=-2, axis2=-1))
+        return _per_member(diag, lambda d: d.reshape(shape).sum(axis=other))
 
     def measure_z(self, qubit: int, rng: np.random.Generator, force: int | None = None):
         """Projective Z measurement. Returns (outcome, self, probability)."""
@@ -344,31 +405,25 @@ class DensityState:
             outcome = 1 if rng.random() < probs[1] else 0
         else:
             outcome = int(force)
-            if probs[outcome] < 1e-14:
+            if probs[outcome] < ZERO_PROB:
                 raise ValueError(f"forced outcome {outcome} has zero probability")
         p = probs[outcome]
-        t = np.moveaxis(self._tensor(), (qubit, self.n + qubit), (0, 1)).copy()
-        t[1 - outcome, :] = 0.0
-        t[:, 1 - outcome] = 0.0
-        t = np.moveaxis(t, (0, 1), (qubit, self.n + qubit))
-        dim = 2**self.n
-        self.matrix = t.reshape(dim, dim) / p
+        t = _zero_other(self._tensor().copy(), (qubit, self.n + qubit), outcome)
+        self.matrix = t.reshape(self.matrix.shape) / p
         return outcome, self, p
 
     def branch_z(self, qubit: int):
-        """Both Z branches as fresh states: list of (outcome, state, prob)."""
-        probs = self.probabilities_z(qubit)
+        """Both Z branches as fresh states: list of (outcome, state, prob).
+
+        For a batch, ``prob`` holds one probability per member (see ``_outcomes``).
+        """
+        lead = len(self.batch)
+        axes = (lead + qubit, lead + self.n + qubit)
         branches = []
-        for outcome in (0, 1):
-            p = probs[outcome]
-            if p < 1e-14:
-                continue
-            t = np.moveaxis(self._tensor(), (qubit, self.n + qubit), (0, 1)).copy()
-            t[1 - outcome, :] = 0.0
-            t[:, 1 - outcome] = 0.0
-            t = np.moveaxis(t, (0, 1), (qubit, self.n + qubit))
-            dim = 2**self.n
-            branches.append((outcome, DensityState(t.reshape(dim, dim) / p, validate=False), p))
+        for outcome, p, divisor in _outcomes(self.probabilities_z(qubit)):
+            t = _zero_other(self._tensor().copy(), axes, outcome)
+            post = t.reshape(self.matrix.shape) / np.asarray(divisor)[..., None, None]
+            branches.append((outcome, DensityState(post, validate=False), p))
         return branches
 
     def discard_qubits(self, qubits) -> "DensityState":
@@ -379,12 +434,12 @@ class DensityState:
         if not drop:
             return self.copy()
         t = self._tensor()
-        n = self.n
+        lead, n = len(self.batch), self.n
         for q in drop:
-            t = np.trace(t, axis1=q, axis2=n + q)
+            t = np.trace(t, axis1=lead + q, axis2=lead + n + q)
             n -= 1
         dim = 2**n
-        return DensityState(t.reshape(dim, dim), validate=False)
+        return DensityState(t.reshape(self.batch + (dim, dim)), validate=False)
 
     def expectation(self, pauli: str) -> float:
         _check_pauli_string(pauli, self.n)

@@ -261,3 +261,47 @@ def test_unknown_family_exits_with_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--family", "bogus", "--out", str(tmp_path)])
     assert err.value.code == 2
+
+
+class TestErrorBoundary:
+    """Bad input exits with status 2; a fault of the program does not."""
+
+    def test_parsers_report_bad_values_as_config_errors(self, tmp_path):
+        with pytest.raises(ConfigError):
+            parse_input("theta=abc")
+        with pytest.raises(ConfigError):
+            parse_input("theta=4.0")
+        with pytest.raises(ConfigError):
+            parse_rates(["eps_cnot=x"])
+        with pytest.raises(ConfigError):
+            parse_rates(["eps_cnot=2"])
+        path = tmp_path / "noise.txt"
+        path.write_text("eps_2q = 3\n")
+        with pytest.raises(ConfigError):
+            load_noise(str(path))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--n", "1", "--noise", "none"],
+            ["simulate", "--n", "5", "--noise", "default"],
+            ["simulate", "--n", "2", "--mode", "trajectories", "--shots", "0"],
+            ["simulate", "--n", "2", "--input", "theta=9"],
+            ["sweep", "--n", "2", "--sweep", "theta", "--phi", "7", "--noise", "none"],
+            ["tomo", "--n", "5", "--noise", "default"],
+            ["model", "--rates", "mu=-1"],
+        ],
+        ids=["n1", "exact-ceiling", "zero-shots", "theta", "phi", "tomo-ceiling", "rates"],
+    )
+    def test_bad_configuration_exits_2(self, args, tmp_path, capsys):
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_engine_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken_run(circuit, config):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr("fanout_sim.cli.run", broken_run)
+        with pytest.raises(ValueError, match="engine fault") as err:
+            main(["simulate", "--n", "2", "--noise", "none", "--out", str(tmp_path)])
+        assert not isinstance(err.value, ConfigError)
