@@ -7,14 +7,21 @@ recovery implied by the reported bits, and averaging the surviving output
 states. All live branches are stacked into one batched state, next to
 their weights and reported bits, so each gate, noise channel, idle slot and
 measurement is one kernel call across every branch; each branch still gets
-exactly the bits a walk of its own would give. Trajectory mode unravels the
-same model into per-shot pure states with sampled Pauli errors, readout
-flips, and either physical recovery (feedforward) or a recorded Pauli frame
-(frame update).
+exactly the bits a walk of its own would give.
+
+Trajectory mode samples the same model by Pauli frames, after the CHP
+tableau (Aaronson & Gottesman, arXiv:quant-ph/0406196) and Stim's frame
+sampler (Gidney, arXiv:2103.02202). Every operation after the input pulse
+is Clifford and all noise is Pauli, so a shot is one noiseless reference
+statevector times a Pauli frame. A run computes the reference once and
+carries the frames of all shots as boolean arrays, which each gate, sampled
+error, readout flip and recovery (physical for feedforward, a recorded
+``PauliFrame`` for frame update) updates in one vectorized step.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,28 +36,20 @@ from .circuits import (
     RecoverOp,
     idle_events,
 )
-from .feedforward import (
-    BellOutcome,
-    PauliFrame,
-    adjust_pauli,
-    build_lookup_table,
-    frame_update,
-)
+from .feedforward import PauliFrame, build_lookup_table, recovery_indices
 from .noise import (
     NoiseModel,
     apply_depolarizing,
     depolarizing_sample_prob,
-    noisy_readout,
-    sample_pauli_error,
+    noisy_readouts,
+    sample_pauli_errors,
 )
 from .states import (
     CARDINAL_INPUTS,
-    PAULI_MATRICES,
     DensityState,
     InputState,
     PureState,
     fidelity,
-    gate_matrix,
 )
 
 #: Branches below this probability are dropped (and the average renormalized).
@@ -67,16 +66,6 @@ _HALF_PI = math.pi / 2.0
 
 class CeilingError(ValueError):
     """The register is larger than the requested simulation mode supports."""
-
-
-# Recovery pulses: X is one pulse; Z is decomposed into three x/y rotations
-# (equal to Z up to a global phase).
-_RECOVERY_X = (gate_matrix("X"),)
-_RECOVERY_Z = (
-    gate_matrix("RX", -_HALF_PI),
-    gate_matrix("RY", math.pi),
-    gate_matrix("RX", _HALF_PI),
-)
 
 
 @dataclass
@@ -99,7 +88,8 @@ class RunConfig:
 
 @dataclass
 class ShotRecord:
-    """One trajectory: reported outcome key, frame, and raw output state."""
+    """One trajectory: reported outcome key, recorded Pauli frame, and the
+    output state before that frame (the physical one up to a global phase)."""
 
     outcome_key: str
     frame: PauliFrame
@@ -108,6 +98,13 @@ class ShotRecord:
 
 @dataclass
 class RunResult:
+    """What a run produced.
+
+    ``pruned_mass`` is the probability an exact run dropped (branches below
+    ``BRANCH_PRUNE``, outcomes below ``states.ZERO_PROB``) before it
+    renormalized what remained; trajectory runs leave it None.
+    """
+
     family: str
     n_outputs: int
     duration_ns: float
@@ -117,6 +114,7 @@ class RunResult:
     records: list[ShotRecord] | None = None
     branches: list[tuple[str, float, PureState]] | None = None
     input: InputState | None = None
+    pruned_mass: float | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -139,13 +137,20 @@ def _idle_by_layer(circuit: Circuit) -> dict[int, list[tuple[int, float]]]:
     return by_layer
 
 
-def _recovery_pulses(index: int) -> tuple[np.ndarray, ...]:
-    """Pulse sequence for a two-bit recovery index (0=I, 1=X, 2=Z, 3=Z*X)."""
-    pulses: tuple[np.ndarray, ...] = ()
+def _recovery_pulses(index: int, qubit: int) -> tuple[GateOp, ...]:
+    """Pulse sequence for a two-bit recovery index (0=I, 1=X, 2=Z, 3=Z*X).
+
+    X is one pulse; Z is three x/y rotations, equal to Z up to a global phase.
+    """
+    pulses: tuple[GateOp, ...] = ()
     if index & 1:
-        pulses += _RECOVERY_X
+        pulses += (GateOp("X", (qubit,)),)
     if index & 2:
-        pulses += _RECOVERY_Z
+        pulses += (
+            GateOp("RX", (qubit,), -_HALF_PI),
+            GateOp("RY", (qubit,), math.pi),
+            GateOp("RX", (qubit,), _HALF_PI),
+        )
     return pulses
 
 
@@ -159,19 +164,10 @@ class _Walk:
         self.alive = list(range(circuit.qubit_count))
         self.idle_by_layer = _idle_by_layer(circuit)
         self.measure_count = circuit.measure_count
-        self.slots = range(self.measure_count // 2)
         self.table = build_lookup_table(circuit.n_outputs) if self.measure_count else None
 
     def pos(self, qubit: int) -> int:
         return self.alive.index(qubit)
-
-    def outcome(self, z_bits: dict[int, int], x_bits: dict[int, int]) -> BellOutcome:
-        return BellOutcome(
-            z=tuple(z_bits[s] for s in self.slots), x=tuple(x_bits[s] for s in self.slots)
-        )
-
-    def recovery_indices(self, outcome: BellOutcome) -> tuple[int, ...]:
-        return self.table[outcome.key()]
 
 
 def _members(state: PureState | DensityState) -> np.ndarray:
@@ -250,6 +246,7 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
         histogram=dict(sorted(histogram.items())),
         branches=kept_pure if pure_mode else None,
         input=config.input,
+        pruned_mass=1.0 - total,
     )
 
 
@@ -296,15 +293,23 @@ def _recover(walk: _Walk, state, keys: list[str], op: RecoverOp | FrameMarkOp) -
         if not rows.size:
             continue
         group = type(state)(members[rows], validate=False)
-        for pulse in _recovery_pulses(value):
-            group.apply_matrix(pulse, (q,))
+        for pulse in _recovery_pulses(value, op.qubit):
+            group.apply_matrix(pulse.matrix(), (q,))
             if noisy:
                 apply_depolarizing(group, (q,), noise.single_qubit_depol)
         members[rows] = _members(group)
 
 
 def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
-    """Monte-Carlo unraveling: per-shot pure states plus Pauli frames."""
+    """Monte-Carlo unraveling by Pauli-frame sampling.
+
+    One noiseless reference statevector of the whole register (measurements
+    deferred, which is valid because no operation follows a measurement on
+    its qubit) gives every shot's reference outcome and output slice. Each
+    shot then carries a Pauli frame; the frames of all shots are boolean
+    arrays of shape (shots, qubits) that each gate, noise site, readout and
+    recovery updates in one vectorized step.
+    """
     if config.mode != "trajectories":
         raise ValueError("run_trajectory requires trajectory mode")
     if circuit.qubit_count > PURE_QUBIT_CEILING:
@@ -313,86 +318,185 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
             f"{PURE_QUBIT_CEILING}-qubit statevector ceiling"
         )
     noise = config.noise
-    seeds = np.random.SeedSequence(config.seed).spawn(config.shots)
-    records: list[ShotRecord] = []
-    histogram: dict[str, float] = {}
+    shots, count = config.shots, circuit.qubit_count
+    rng = np.random.default_rng(config.seed)
+    measured = [op.qubit for op in circuit.measurements()]
+    outputs = list(circuit.outputs)
+    assert sorted(measured + outputs) == list(range(count))
+    # A view of the reference with the measured qubits' axes first; the
+    # reductions below make no full-size temporaries.
+    tensor = _reference(circuit, config.input).amplitudes.reshape((2,) * count)
+    tensor = np.transpose(tensor, measured + outputs)
+    axes, kept = list(range(count)), list(range(len(measured)))
+    probs = np.einsum(tensor.real, axes, tensor.real, axes, kept)
+    probs = (probs + np.einsum(tensor.imag, axes, tensor.imag, axes, kept)).reshape(-1)
+    cdf = np.cumsum(probs)  # inverse-CDF draw of each shot's reference outcome
+    ref = np.searchsorted(cdf, rng.random(shots) * cdf[-1], side="right")
+    ref = np.minimum(ref, probs.size - 1)
+    ref_bits = (ref[:, None] >> np.arange(len(measured) - 1, -1, -1)) & 1  # measured order
+    column = {qubit: j for j, qubit in enumerate(measured)}
+    x = np.zeros((shots, count), dtype=bool)
+    z = np.zeros((shots, count), dtype=bool)
+    reported = np.zeros((shots, len(measured)), dtype=bool)  # columns z1 x1 z2 x2 ...
+    marks = None  # recovery indices recorded by a FrameMarkOp
+    recovery_p = noise.single_qubit_depol if noise is not None and config.noisy_recovery else None
+
+    idle_by_layer = _idle_by_layer(circuit)
+    for layer_idx, layer in enumerate(circuit.layers):
+        for op in layer.ops:
+            if isinstance(op, DecoupleOp):
+                continue
+            if isinstance(op, PrepareInputOp):
+                if noise is not None:
+                    _add_errors(x, z, (op.qubit,), noise.single_qubit_depol, rng)
+            elif isinstance(op, GateOp):
+                _conjugate(x, z, op)
+                if noise is not None:
+                    p = noise.two_qubit_depol if len(op.targets) == 2 else noise.single_qubit_depol
+                    _add_errors(x, z, op.targets, p, rng)
+            elif isinstance(op, MeasureOp):
+                bits = ref_bits[:, column[op.qubit]] ^ x[:, op.qubit]
+                if noise is not None:
+                    bits = noisy_readouts(bits, noise.confusion_for(op.qubit), rng)
+                reported[:, 2 * op.slot + (op.role == "x")] = bits
+            elif isinstance(op, RecoverOp):
+                index = recovery_indices(reported[:, 0::2], reported[:, 1::2])
+                _recover_frames(x, z, op, index[:, op.output_index - 1], recovery_p, rng)
+            elif isinstance(op, FrameMarkOp):
+                if op.output_index == 1:
+                    marks = recovery_indices(reported[:, 0::2], reported[:, 1::2])
+            else:
+                raise TypeError(f"unexpected operation {op!r}")
+        if noise is not None:
+            for qubit, duration in idle_by_layer.get(layer_idx, ()):
+                _add_errors(x, z, (qubit,), noise.idle_probability(duration * 1e-9), rng)
+
     n_out = circuit.n_outputs
-    walk = _Walk(circuit, config)
-
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        walk.alive = list(range(circuit.qubit_count))
-        state = PureState.zeros(circuit.qubit_count)
-        z_bits: dict[int, int] = {}
-        x_bits: dict[int, int] = {}
-        frame = PauliFrame.identity(n_out)
-        for layer_idx, layer in enumerate(circuit.layers):
-            for op in layer.ops:
-                if isinstance(op, DecoupleOp):
-                    continue
-                if isinstance(op, PrepareInputOp):
-                    state.prepare_input(walk.pos(op.qubit), config.input)
-                    _sample_gate_error(state, walk, (op.qubit,), rng)
-                elif isinstance(op, GateOp):
-                    state.apply_matrix(
-                        op.matrix(), tuple(walk.pos(q) for q in op.targets)
-                    )
-                    _sample_gate_error(state, walk, op.targets, rng)
-                elif isinstance(op, MeasureOp):
-                    outcome, _, _ = state.measure_z(walk.pos(op.qubit), rng)
-                    state.remove_collapsed(walk.pos(op.qubit), outcome)
-                    walk.alive.remove(op.qubit)
-                    if noise is not None:
-                        outcome = noisy_readout(
-                            outcome, noise.confusion_for(op.qubit), rng
-                        )
-                    (z_bits if op.role == "z" else x_bits)[op.slot] = outcome
-                elif isinstance(op, RecoverOp):
-                    indices = walk.recovery_indices(walk.outcome(z_bits, x_bits))
-                    q = walk.pos(op.qubit)
-                    for pulse in _recovery_pulses(indices[op.output_index - 1]):
-                        state.apply_matrix(pulse, (q,))
-                        if config.noisy_recovery and noise is not None:
-                            _sample_error(state, walk, (op.qubit,), noise.single_qubit_depol, rng)
-                elif isinstance(op, FrameMarkOp):
-                    if op.output_index == 1:
-                        frame = frame_update(frame, walk.outcome(z_bits, x_bits))
-                else:
-                    raise TypeError(f"unexpected operation {op!r}")
-            for qubit, duration in walk.idle_by_layer.get(layer_idx, ()):
-                if noise is None:
-                    continue
-                _sample_error(state, walk, (qubit,), noise.idle_probability(duration * 1e-9), rng)
-        key = walk.outcome(z_bits, x_bits).key() if walk.measure_count else ""
-        histogram[key] = histogram.get(key, 0) + 1
-        records.append(ShotRecord(outcome_key=key, frame=frame, state=state))
-
+    # Each shot's output slice; the leading zero index also serves a circuit
+    # without measurements.
+    slices = tensor[None][(np.zeros(shots, dtype=np.intp), *ref_bits.T)].reshape(shots, -1)
+    slices /= np.sqrt(probs[ref])[:, None]
+    states = _apply_paulis(slices, _masks(x[:, outputs]), _masks(z[:, outputs]))
+    # Shots with equal bits share one key string and one (frozen) PauliFrame.
+    codes = _masks(reported).tolist()
+    counts = Counter(codes)
+    keys = {code: format(code, f"0{len(measured)}b") if measured else "" for code in counts}
+    if marks is None:
+        frame_codes, frames = [0] * shots, {0: PauliFrame.identity(n_out)}
+    else:
+        frame_codes = (marks @ 4 ** np.arange(n_out)).tolist()
+        rows = dict(zip(frame_codes, marks))
+        frames = {code: PauliFrame(row & 1, row >> 1) for code, row in rows.items()}
+    records = [
+        ShotRecord(keys[k], frames[f], PureState(state, validate=False))
+        for k, f, state in zip(codes, frame_codes, states)
+    ]
     return RunResult(
         family=circuit.family,
         n_outputs=n_out,
         duration_ns=circuit.duration_ns,
         output_state=None,
-        histogram=dict(sorted(histogram.items())),
-        shots=config.shots,
+        histogram={keys[code]: counts[code] for code in sorted(counts)},
+        shots=shots,
         records=records,
         input=config.input,
     )
 
 
-def _sample_gate_error(state: PureState, walk: _Walk, qubits, rng) -> None:
-    noise = walk.noise
-    if noise is None:
-        return
-    p = noise.two_qubit_depol if len(qubits) == 2 else noise.single_qubit_depol
-    _sample_error(state, walk, qubits, p, rng)
+def _reference(circuit: Circuit, inp: InputState) -> PureState:
+    """The noiseless state of the whole register with every measurement
+    deferred; rejects a circuit that Pauli frames cannot follow."""
+    state = PureState.zeros(circuit.qubit_count)
+    touched: set[int] = set()
+    for op in circuit.operations():
+        if isinstance(op, PrepareInputOp):
+            if op.qubit in touched:
+                raise ValueError(
+                    f"trajectory mode needs {op} to be the first operation on its qubit"
+                )
+            state.prepare_input(op.qubit, inp)
+        elif isinstance(op, GateOp):
+            if op.angle is not None:
+                _quarter_turns(op)
+            state.apply_matrix(op.matrix(), op.targets)
+        touched.update(op.targets if isinstance(op, GateOp) else (op.qubit,))
+    return state
 
 
-def _sample_error(state: PureState, walk: _Walk, qubits, p: float, rng) -> None:
-    """Insert a sampled Pauli whose average is a depolarizing channel of p."""
-    letters = sample_pauli_error(qubits, depolarizing_sample_prob(p, len(qubits)), rng)
-    for q, letter in zip(qubits, letters):
-        if letter != "I":
-            state.apply_matrix(PAULI_MATRICES[letter], (walk.pos(q),))
+def _quarter_turns(gate: GateOp) -> int:
+    """Quarter turns of a rotation, which must be a Clifford gate."""
+    turns = round(gate.angle / _HALF_PI)
+    if abs(gate.angle - turns * _HALF_PI) > 1e-12:
+        raise ValueError(f"trajectory mode needs multiples of pi/2; {gate} is not Clifford")
+    return turns
+
+
+def _conjugate(x: np.ndarray, z: np.ndarray, gate: GateOp) -> None:
+    """Carry every shot's frame through a Clifford gate, in place.
+
+    ``x`` and ``z`` hold the frames' X and Z bits, one row per shot and one
+    column per qubit. X, Z and half turns map each Pauli to itself up to a
+    sign, so they leave the bits alone.
+    """
+    if gate.kind == "CZ":
+        a, b = gate.targets
+        z[:, a] ^= x[:, b]
+        z[:, b] ^= x[:, a]
+    elif gate.kind == "CNOT":
+        c, t = gate.targets
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+    elif gate.kind == "H" or (gate.angle is not None and _quarter_turns(gate) % 2):
+        (a,) = gate.targets
+        if gate.kind == "RX":
+            x[:, a] ^= z[:, a]
+        elif gate.kind == "RZ":
+            z[:, a] ^= x[:, a]
+        else:  # H and RY swap X and Z
+            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
+
+
+def _add_errors(x: np.ndarray, z: np.ndarray, qubits, p: float, rng) -> None:
+    """XOR into every frame a sampled Pauli whose average is a depolarizing
+    channel of p on the qubits."""
+    cols = list(qubits)
+    ex, ez = sample_pauli_errors(len(x), len(cols), depolarizing_sample_prob(p, len(cols)), rng)
+    x[:, cols] ^= ex
+    z[:, cols] ^= ez
+
+
+def _recover_frames(x, z, op: RecoverOp, index: np.ndarray, p: float | None, rng) -> None:
+    """Apply each shot's recovery pulses to its frame, one group per index.
+
+    The pulses multiply to the recovery Pauli, so each group's frames are
+    carried through them (with a sampled error after each pulse when ``p``
+    is set) and the recovery Pauli is XORed in.
+    """
+    for value in (1, 2, 3):
+        rows = np.flatnonzero(index == value)
+        if not rows.size:
+            continue
+        gx, gz = x[rows], z[rows]
+        for pulse in _recovery_pulses(value, op.qubit):
+            _conjugate(gx, gz, pulse)
+            if p is not None:
+                _add_errors(gx, gz, (op.qubit,), p, rng)
+        gx[:, op.qubit] ^= bool(value & 1)
+        gz[:, op.qubit] ^= bool(value & 2)
+        x[rows], z[rows] = gx, gz
+
+
+def _masks(bits: np.ndarray) -> np.ndarray:
+    """Integer codes of boolean bit rows, the first column most significant."""
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
+def _apply_paulis(amps: np.ndarray, x_masks: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
+    """X^x Z^z applied to each row of ``amps``; a mask's bits select qubits in
+    basis-index order (qubit 0 is the most significant bit)."""
+    index = np.arange(amps.shape[-1])
+    signed = np.where(np.bitwise_count(index & z_masks[:, None]) & 1, -amps, amps)
+    return np.take_along_axis(signed, index ^ x_masks[:, None], axis=1)
 
 
 def run(circuit: Circuit, config: RunConfig) -> RunResult:
@@ -401,15 +505,12 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
     return run_trajectory(circuit, config)
 
 
-def _framed_state(record: ShotRecord) -> PureState:
-    """Shot state with its Pauli frame applied as virtual gates."""
-    state = record.state.copy()
-    for q, (xf, zf) in enumerate(zip(record.frame.x_flips, record.frame.z_flips)):
-        if xf:
-            state.apply_matrix(PAULI_MATRICES["X"], (q,))
-        if zf:
-            state.apply_matrix(PAULI_MATRICES["Z"], (q,))
-    return state
+def _framed_states(records: list[ShotRecord]) -> np.ndarray:
+    """Each shot's state with its Pauli frame applied, one row per shot."""
+    amps = np.stack([record.state.amplitudes for record in records])
+    x = np.array([record.frame.x_flips for record in records], dtype=bool)
+    z = np.array([record.frame.z_flips for record in records], dtype=bool)
+    return _apply_paulis(amps, _masks(x), _masks(z))
 
 
 def output_fidelity(result: RunResult, inp: InputState) -> float:
@@ -419,11 +520,8 @@ def output_fidelity(result: RunResult, inp: InputState) -> float:
         if result.output_state.n != result.n_outputs:
             raise ValueError("result state does not cover the output register")
         return fidelity(result.output_state, target.to_density())
-    total = 0.0
-    for record in result.records:
-        amp = np.vdot(target.amplitudes, _framed_state(record).amplitudes)
-        total += abs(amp) ** 2
-    return total / len(result.records)
+    overlaps = _framed_states(result.records) @ target.amplitudes.conj()
+    return float(np.mean(overlaps.real**2 + overlaps.imag**2))
 
 
 def joint_x_expectation(result: RunResult) -> float:
@@ -431,11 +529,9 @@ def joint_x_expectation(result: RunResult) -> float:
     observable = "X" * result.n_outputs
     if result.is_exact:
         return result.output_state.expectation(observable)
-    total = 0.0
-    for record in result.records:
-        sign, _ = adjust_pauli(observable, record.frame)
-        total += sign * record.state.expectation(observable)
-    return total / len(result.records)
+    # X on every qubit maps basis index i to its complement, the reversed row.
+    framed = _framed_states(result.records)
+    return float(np.mean(np.sum(framed.conj() * framed[:, ::-1], axis=1).real))
 
 
 def cardinal_error(

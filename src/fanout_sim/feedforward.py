@@ -4,11 +4,14 @@ A fan-out run with n outputs measures n-1 qubit pairs, yielding bits
 (z_1, x_1, ..., z_{n-1}, x_{n-1}). The recovery on output q is X raised to
 the parity of x_1..x_q followed by Z raised to z_q; the last output needs
 no Z. Two-bit recovery indices are encoded 0=I, 1=X, 2=Z, 3=Z*X.
+``recovery_indices`` is the one implementation of that rule; it acts on
+arrays of reported bits, one row per shot.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 RECOVERY_LABELS = ("I", "X", "Z", "ZX")
 
@@ -87,28 +90,38 @@ class PauliFrame:
         return len(self.x_flips)
 
 
+def recovery_indices(z, x) -> np.ndarray:
+    """Recovery indices of the n outputs for each row of pair bits.
+
+    ``z`` and ``x`` hold the n-1 z and x bits in their last axis (one row
+    per shot, or a single row); the result holds the n two-bit indices in
+    its last axis.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    x = np.asarray(x, dtype=np.int64)
+    parity = np.bitwise_xor.accumulate(x, axis=-1)
+    apply_x = np.concatenate([parity, parity[..., -1:]], axis=-1)
+    apply_z = np.concatenate([z, np.zeros_like(z[..., :1])], axis=-1)
+    return 2 * apply_z + apply_x
+
+
 def recovery_ops(outcome: BellOutcome, n: int) -> list[RecoveryOp]:
     """Recovery for each of the n outputs given a pair-measurement record."""
     if outcome.pairs != n - 1:
         raise ValueError(f"outcome holds {outcome.pairs} pairs, expected {n - 1}")
-    ops = []
-    parity = 0
-    for q in range(1, n):
-        parity ^= outcome.x[q - 1]
-        ops.append(RecoveryOp(apply_x=parity, apply_z=outcome.z[q - 1]))
-    ops.append(RecoveryOp(apply_x=parity, apply_z=0))
-    return ops
+    indices = recovery_indices(outcome.z, outcome.x).tolist()
+    return [RecoveryOp(apply_x=i & 1, apply_z=i >> 1) for i in indices]
 
 
 def build_lookup_table(n: int) -> dict[str, tuple[int, ...]]:
     """All 2^(2(n-1)) outcome keys mapped to n two-bit recovery indices."""
     if n < 2:
         raise ValueError("need at least two outputs")
-    table = {}
-    for bits in product((0, 1), repeat=2 * (n - 1)):
-        outcome = BellOutcome(z=bits[0::2], x=bits[1::2])
-        table[outcome.key()] = tuple(op.index for op in recovery_ops(outcome, n))
-    return table
+    width = 2 * (n - 1)
+    codes = np.arange(2**width)
+    bits = (codes[:, None] >> np.arange(width - 1, -1, -1)) & 1  # key order z1 x1 z2 x2 ...
+    indices = recovery_indices(bits[:, 0::2], bits[:, 1::2]).tolist()
+    return {format(code, f"0{width}b"): tuple(row) for code, row in zip(codes.tolist(), indices)}
 
 
 def frame_update(frame: PauliFrame, outcome: BellOutcome) -> PauliFrame:

@@ -3,7 +3,9 @@
 All channels preserve trace and Hermiticity. Trajectory unraveling of a
 depolarizing channel with probability p samples a uniform non-identity
 Pauli with probability p * (d^2 - 1) / d^2 (see ``depolarizing_sample_prob``),
-so that averaging trajectories reproduces the channel exactly.
+so that averaging trajectories reproduces the channel exactly. The samplers
+draw for many shots at once; their one-shot forms ``sample_pauli_error``
+and ``noisy_readout`` call them with a single shot.
 """
 from __future__ import annotations
 
@@ -15,10 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .states import DensityState
-
-#: Non-identity Pauli letter tuples for one and two qubits.
-_PAULI_1Q = (("X",), ("Y",), ("Z",))
-_PAULI_2Q = tuple(p for p in product("IXYZ", repeat=2) if p != ("I", "I"))
 
 
 @dataclass(frozen=True)
@@ -227,18 +225,37 @@ def apply_depolarizing(state: DensityState, qubits, p: float) -> DensityState:
     return state
 
 
+def sample_pauli_errors(
+    shots: int, width: int, p: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent errors for many shots: per shot, all-identity with
+    probability 1-p, else a uniform non-identity Pauli on ``width`` qubits.
+
+    Returns the X and Z bits as two boolean arrays of shape (shots, width);
+    both bits set is Y.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"error probability {p} outside [0, 1]")
+    x = np.zeros((shots, width), dtype=bool)
+    z = np.zeros((shots, width), dtype=bool)
+    if p > 0.0:
+        hit = np.flatnonzero(rng.random(shots) < p)
+        # 2 bits per qubit, x then z; 0 (the identity) is never drawn.
+        pauli = rng.integers(1, 4**width, size=hit.size)
+        for j in range(width):
+            x[hit, j] = (pauli >> (2 * j)) & 1
+            z[hit, j] = (pauli >> (2 * j + 1)) & 1
+    return x, z
+
+
 def sample_pauli_error(qubits, p: float, rng: np.random.Generator) -> tuple[str, ...]:
     """Sample an error: all-identity with probability 1-p, else a uniform
     non-identity Pauli on the targets."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"error probability {p} outside [0, 1]")
     targets = tuple(qubits)
     if len(targets) not in (1, 2):
         raise ValueError("pauli errors act on one or two qubits")
-    if p > 0.0 and rng.random() < p:
-        table = _PAULI_1Q if len(targets) == 1 else _PAULI_2Q
-        return table[rng.integers(len(table))]
-    return ("I",) * len(targets)
+    x, z = sample_pauli_errors(1, len(targets), p, rng)
+    return tuple("IXZY"[xb + 2 * zb] for xb, zb in zip(x[0], z[0]))
 
 
 def depolarizing_sample_prob(p: float, n_qubits: int) -> float:
@@ -248,11 +265,20 @@ def depolarizing_sample_prob(p: float, n_qubits: int) -> float:
     return p * (d2 - 1) / d2
 
 
+def noisy_readouts(
+    true_bits: np.ndarray, confusion: ConfusionMatrix, rng: np.random.Generator
+) -> np.ndarray:
+    """Reported bits: each true bit flips with the confusion probability of
+    its value (``p10`` for 0, ``p01`` for 1), independently."""
+    true_bits = np.asarray(true_bits, dtype=bool)
+    if confusion.p01 == 0.0 and confusion.p10 == 0.0:
+        return true_bits.copy()
+    flip_p = np.where(true_bits, confusion.p01, confusion.p10)
+    return true_bits ^ (rng.random(true_bits.shape) < flip_p)
+
+
 def noisy_readout(true_outcome: int, confusion: ConfusionMatrix, rng: np.random.Generator) -> int:
     """Classically flip a measured bit according to the confusion matrix."""
     if true_outcome not in (0, 1):
         raise ValueError("outcome must be a bit")
-    flip_p = confusion.p01 if true_outcome == 1 else confusion.p10
-    if flip_p > 0.0 and rng.random() < flip_p:
-        return 1 - true_outcome
-    return true_outcome
+    return int(noisy_readouts(np.array([true_outcome]), confusion, rng)[0])

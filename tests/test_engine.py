@@ -1,29 +1,65 @@
 """Protocol engine tests: exact branch enumeration and trajectories."""
+import dataclasses
+import functools
 import math
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
 
-from fanout_sim.circuits import build_constant_depth, build_unitary
+from fanout_sim.circuits import (
+    FAMILIES,
+    FAMILY_FEEDFORWARD,
+    Circuit,
+    Layer,
+    PrepareInputOp,
+    build_circuit,
+    build_constant_depth,
+    build_unitary,
+)
 from fanout_sim.engine import (
+    BRANCH_PRUNE,
     RunConfig,
+    _conjugate,
     cardinal_error,
     joint_x_expectation,
     output_fidelity,
     run_exact,
     run_trajectory,
     serialize_run_result,
-    target_state,
 )
-from fanout_sim.noise import NoiseModel
-from fanout_sim.states import DensityState, InputState
+from fanout_sim.noise import ConfusionMatrix, NoiseModel
+from fanout_sim.states import (
+    PAULI_MATRICES,
+    DensityState,
+    GateOp,
+    InputState,
+    QubitRegister,
+    gate_matrix,
+)
 
 PLUS = InputState(math.pi / 2.0, 0.0)
 ONE = InputState(math.pi, 0.0)
 
+#: Trajectory-versus-exact inputs: a cardinal point and one off them.
+ORACLE_INPUTS = {"+": PLUS, "theta=1.0,phi=0.5": InputState(1.0, 0.5)}
+ORACLE_SHOTS = 50_000
+
 
 def noiseless(inp, **kwargs):
     return RunConfig(input=inp, noise=None, **kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_oracle(family, n, label, noisy_recovery):
+    """Noisy exact run at the device medians, shared (not to be mutated) across tests."""
+    config = RunConfig(
+        input=ORACLE_INPUTS[label],
+        noise=NoiseModel.device_medians(),
+        noisy_recovery=noisy_recovery,
+    )
+    return run_exact(build_circuit(family, n), config)
 
 
 class TestRunExactNoiseless:
@@ -98,16 +134,27 @@ class TestRunExactNoisy:
         assert sum(result.histogram.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestPrunedMass:
+    def test_noiseless_run_prunes_nothing(self):
+        result = run_exact(build_constant_depth(3), noiseless(InputState(1.0, 0.5)))
+        assert abs(result.pruned_mass) <= 1e-12
+
+    def test_noisy_run_prunes_at_most_one_threshold_per_branch(self):
+        result = exact_oracle(FAMILY_FEEDFORWARD, 4, "+", False)
+        assert 0.0 <= result.pruned_mass < 4**6 * BRANCH_PRUNE
+
+    def test_trajectory_runs_carry_none(self):
+        config = noiseless(PLUS, mode="trajectories", shots=4, seed=1)
+        assert run_trajectory(build_constant_depth(2), config).pruned_mass is None
+
+
 class TestRunTrajectory:
     def test_noiseless_shots_all_reach_target(self):
-        from fanout_sim.engine import _framed_state
-
         config = noiseless(PLUS, mode="trajectories", shots=64, seed=3)
         result = run_trajectory(build_constant_depth(3), config)
-        target = target_state(PLUS, 3)
         for record in result.records:
-            amp = np.vdot(target.amplitudes, _framed_state(record).amplitudes)
-            assert abs(amp) ** 2 >= 1.0 - 1e-9
+            shot = dataclasses.replace(result, records=[record], shots=1)
+            assert output_fidelity(shot, PLUS) >= 1.0 - 1e-9
         assert sum(result.histogram.values()) == 64
 
     def test_fixed_seed_reproduces_bitwise(self):
@@ -125,27 +172,53 @@ class TestRunTrajectory:
             np.testing.assert_array_equal(ra.state.amplitudes, rb.state.amplitudes)
             assert ra.frame == rb.frame
 
-    def test_mean_matches_exact_within_monte_carlo_error(self):
-        """5000-shot mean infidelity sits within 3 sigma of the exact value."""
-        noise = NoiseModel.device_medians()
-        circuit = build_constant_depth(2)
-        exact = output_fidelity(
-            run_exact(circuit, RunConfig(input=PLUS, noise=noise)), PLUS
-        )
+    @pytest.mark.parametrize("label", list(ORACLE_INPUTS))
+    @pytest.mark.parametrize("noisy_recovery", [False, True], ids=["clean", "noisy_recovery"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mean_matches_exact_within_monte_carlo_error(self, family, n, noisy_recovery, label):
+        """At the device medians, a 50k-shot run matches the exact run.
+
+        The fidelity and histogram bounds stay below 0.01; the joint-X bound
+        reaches about 0.02, since per-shot values of +-1 need about 130k
+        shots for 0.01.
+        """
+        inp = ORACLE_INPUTS[label]
+        # Only feedforward circuits carry recovery pulses to make noisy.
+        exact = exact_oracle(family, n, label, noisy_recovery and family == FAMILY_FEEDFORWARD)
         config = RunConfig(
-            input=PLUS, noise=noise, mode="trajectories", shots=5000, seed=7
+            input=inp,
+            noise=NoiseModel.device_medians(),
+            mode="trajectories",
+            shots=ORACLE_SHOTS,
+            seed=7,
+            noisy_recovery=noisy_recovery,
+        )
+        result = run_trajectory(build_circuit(family, n), config)
+        assert_within_five_standard_errors(result, exact, inp, max_bound=0.01)
+
+    @pytest.mark.parametrize("noisy_recovery", [False, True], ids=["clean", "noisy_recovery"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_strong_noise_matches_exact(self, family, n, noisy_recovery):
+        """Errors some 100 times the device's, and readout that favours 0,
+        make every noise site and each readout direction move the result
+        by far more than the 5-standard-error bound."""
+        inp = ORACLE_INPUTS["theta=1.0,phi=0.5"]
+        noise = NoiseModel(
+            two_qubit_depol=0.2,
+            single_qubit_depol=0.2,
+            confusion=ConfusionMatrix(p01=0.15, p10=0.02),
+            t2_echo=5e-6,
+        )
+        circuit = build_circuit(family, n)
+        exact = run_exact(circuit, RunConfig(input=inp, noise=noise, noisy_recovery=noisy_recovery))
+        config = RunConfig(
+            input=inp, noise=noise, mode="trajectories", shots=20_000, seed=3,
+            noisy_recovery=noisy_recovery,
         )
         result = run_trajectory(circuit, config)
-        target = target_state(PLUS, 2)
-        fids = []
-        from fanout_sim.engine import _framed_state
-
-        for record in result.records:
-            amp = np.vdot(target.amplitudes, _framed_state(record).amplitudes)
-            fids.append(abs(amp) ** 2)
-        mean = float(np.mean(fids))
-        sigma = float(np.std(fids)) / math.sqrt(len(fids))
-        assert abs(mean - exact) < 3 * sigma
+        assert_within_five_standard_errors(result, exact, inp)
 
     def test_pauli_frame_records_carry_frames(self):
         config = RunConfig(
@@ -158,6 +231,90 @@ class TestRunTrajectory:
         result = run_trajectory(build_constant_depth(2, family="pauli_frame"), config)
         assert any(any(r.frame.x_flips) or any(r.frame.z_flips) for r in result.records)
         assert output_fidelity(result, ONE) == pytest.approx(1.0, abs=0.08)
+
+    def test_non_clifford_rotation_rejected(self):
+        circuit = _one_qubit_circuit(PrepareInputOp(0), GateOp("RX", (0,), 0.3))
+        with pytest.raises(ValueError, match="RX"):
+            run_trajectory(circuit, noiseless(PLUS, mode="trajectories", shots=8, seed=1))
+        # Exact mode still runs it: RX commutes with X, so |+> only picks up a phase.
+        assert output_fidelity(run_exact(circuit, noiseless(PLUS)), PLUS) == pytest.approx(
+            1.0, abs=1e-12
+        )
+
+    def test_late_input_pulse_rejected(self):
+        circuit = _one_qubit_circuit(GateOp("H", (0,)), PrepareInputOp(0))
+        with pytest.raises(ValueError, match="PrepareInputOp"):
+            run_trajectory(circuit, noiseless(PLUS, mode="trajectories", shots=8, seed=1))
+
+
+def assert_within_five_standard_errors(result, exact, inp, max_bound=None):
+    """Fidelity, joint-X and every histogram bin of a trajectory run lie
+    within 5 standard errors of the exact run.
+
+    Per-shot fidelities lie in [0, 1] and per-shot joint-X values in
+    [-1, 1], so their variances are at most F(1-F) and 1-J^2 (the
+    Bhatia-Davis bound); the standard errors use those bounds. With
+    ``max_bound`` set, the fidelity and histogram bounds must be tighter.
+    """
+    shots = result.shots
+    assert sum(result.histogram.values()) == shots
+    fid, jx = output_fidelity(exact, inp), joint_x_expectation(exact)
+    bounds = {"fidelity": 5 * math.sqrt(fid * (1 - fid) / shots)}
+    assert abs(output_fidelity(result, inp) - fid) <= bounds["fidelity"]
+    assert abs(joint_x_expectation(result) - jx) <= 5 * math.sqrt((1 - jx * jx) / shots)
+    for key in exact.histogram.keys() | result.histogram.keys():
+        p = exact.histogram.get(key, 0.0)
+        bounds[key] = 5 * math.sqrt(p * (1 - p) / shots)
+        assert abs(result.histogram.get(key, 0) / shots - p) <= bounds[key], key
+    if max_bound is not None:
+        assert max(bounds.values()) < max_bound
+
+
+def _one_qubit_circuit(*ops) -> Circuit:
+    layers = [Layer(32.0, "prepare", [op]) for op in ops]
+    return Circuit("unitary", 1, QubitRegister(("q",)), layers, (0,))
+
+
+def _dense_pauli(x_bits, z_bits) -> np.ndarray:
+    """X^x Z^z on each qubit, qubit 0 most significant."""
+    factors = [
+        np.linalg.matrix_power(PAULI_MATRICES["X"], int(xb))
+        @ np.linalg.matrix_power(PAULI_MATRICES["Z"], int(zb))
+        for xb, zb in zip(x_bits, z_bits)
+    ]
+    return reduce(np.kron, factors)
+
+
+FRAME_GATES = [
+    GateOp("H", (0,)),
+    GateOp("X", (0,)),
+    GateOp("Z", (0,)),
+    *(GateOp(kind, (0,), angle) for kind in ("RX", "RY", "RZ")
+      for angle in (math.pi / 2, -math.pi / 2, math.pi, -math.pi)),
+    GateOp("CZ", (0, 1)),
+    GateOp("CNOT", (0, 1)),
+    GateOp("CNOT", (1, 0)),
+]
+
+
+@pytest.mark.parametrize("gate", FRAME_GATES, ids=lambda g: f"{g.kind}{g.targets}{g.angle or ''}")
+def test_frame_rule_matches_dense_conjugation(gate):
+    """Each frame update equals U P U^dagger up to phase, for every Pauli P."""
+    width = 2 if len(gate.targets) == 2 else 1
+    paulis = list(product((0, 1), repeat=2 * width))
+    x = np.array([p[:width] for p in paulis], dtype=bool)
+    z = np.array([p[width:] for p in paulis], dtype=bool)
+    new_x, new_z = x.copy(), z.copy()
+    _conjugate(new_x, new_z, gate)
+    u = gate_matrix(gate.kind, gate.angle)
+    if gate.targets == (1, 0):
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        u = swap @ u @ swap
+    for row in range(len(paulis)):
+        conjugated = u @ _dense_pauli(x[row], z[row]) @ u.conj().T
+        expected = _dense_pauli(new_x[row], new_z[row])
+        overlap = np.trace(expected.conj().T @ conjugated) / len(u)
+        assert abs(abs(overlap) - 1.0) < 1e-12, (paulis[row], new_x[row], new_z[row])
 
 
 class TestOutputFidelity:

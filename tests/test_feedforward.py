@@ -11,6 +11,7 @@ from fanout_sim.feedforward import (
     adjust_pauli,
     build_lookup_table,
     frame_update,
+    recovery_indices,
     recovery_ops,
     serialize_lookup_table,
 )
@@ -49,6 +50,24 @@ class TestRecoveryOps:
         assert RecoveryOp(1, 0).index == 1
         assert RecoveryOp(0, 1).index == 2
         assert RecoveryOp(1, 1).index == 3
+
+
+def loop_recovery_indices(outcome, n):
+    """Reference: the recovery rule written out one output at a time."""
+    indices, parity = [], 0
+    for q in range(1, n):
+        parity ^= outcome.x[q - 1]
+        indices.append(2 * outcome.z[q - 1] + parity)
+    return indices + [parity]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_vectorized_rule_matches_loop_reference(n):
+    outcomes = list(all_outcomes(n))
+    z = np.array([o.z for o in outcomes])
+    x = np.array([o.x for o in outcomes])
+    expected = np.array([loop_recovery_indices(o, n) for o in outcomes])
+    np.testing.assert_array_equal(recovery_indices(z, x), expected)
 
 
 class TestLookupTable:

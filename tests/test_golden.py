@@ -3,8 +3,10 @@
 The golden files under ``tests/golden/`` guard refactors of the engine,
 the kernels and the CLI against any change of the printed digits. Only the
 package-version line is ignored. To re-baseline after a deliberate change
-of the numbers, run ``python tests/test_golden.py`` with ``src`` on
-``PYTHONPATH`` and say in the change log which digits moved and why.
+of the numbers, run ``python tests/test_golden.py [CASE ...]`` with ``src``
+on ``PYTHONPATH`` (no case names rewrites every case) and say in the change
+log which digits moved and why. The trajectory cases pin the seeded random
+streams of the frame sampler as well as its numbers.
 """
 from pathlib import Path
 
@@ -30,6 +32,11 @@ CASES = _SIMULATE + [
      ["sweep", "--family", "pauli_frame", "--n", "2", "--sweep", "phi", "--points", "6"]),
     ("tomo_feedforward_n3",
      ["tomo", "--family", "feedforward", "--n", "3", "--input=1", "--seed", "7"]),
+] + [
+    (f"simulate_{family}_n3_trajectories",
+     ["simulate", "--family", family, "--n", "3", "--mode", "trajectories",
+      "--shots", "2000", "--seed", "7"])
+    for family in ("feedforward", "pauli_frame")
 ]
 
 
@@ -56,13 +63,16 @@ def test_cli_output_matches_golden(name, args, tmp_path):
         )
 
 
-def write_golden() -> None:
-    """Regenerate every golden directory from the code on ``sys.path``."""
+def write_golden(names=None) -> None:
+    """Regenerate the named golden directories (default: all) from the code
+    on ``sys.path``."""
     import contextlib
     import io
     import shutil
 
     for name, args in CASES:
+        if names and name not in names:
+            continue
         target = GOLDEN / name
         shutil.rmtree(target, ignore_errors=True)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -70,4 +80,6 @@ def write_golden() -> None:
 
 
 if __name__ == "__main__":
-    write_golden()
+    import sys
+
+    write_golden(sys.argv[1:])

@@ -13,7 +13,9 @@ from fanout_sim.noise import (
     idle_error_probability,
     idle_law_linear,
     noisy_readout,
+    noisy_readouts,
     sample_pauli_error,
+    sample_pauli_errors,
 )
 from fanout_sim.states import DensityState, GateOp, PAULI_MATRICES, PureState
 
@@ -83,12 +85,12 @@ class TestSamplePauliError:
         )
 
     def test_certain_error_uniform_over_three(self):
+        # The one-shot sampler draws through sample_pauli_errors; draw in bulk.
         rng = np.random.default_rng(3)
         draws = 100_000
-        counts = {"X": 0, "Y": 0, "Z": 0}
-        for _ in range(draws):
-            (letter,) = sample_pauli_error((0,), 1.0, rng)
-            counts[letter] += 1
+        x, z = sample_pauli_errors(draws, 1, 1.0, rng)
+        counts = {"X": np.sum(x & ~z), "Y": np.sum(x & z), "Z": np.sum(~x & z)}
+        assert sum(counts.values()) == draws
         for letter in counts:
             # 5 sigma of a Binomial(draws, 1/3)
             assert abs(counts[letter] / draws - 1 / 3) < 5 * math.sqrt(2 / 9 / draws)
@@ -97,6 +99,20 @@ class TestSamplePauliError:
         rng = np.random.default_rng(4)
         seen = {sample_pauli_error((0, 1), 1.0, rng) for _ in range(2000)}
         assert len(seen) == 15 and ("I", "I") not in seen
+
+    def test_bulk_errors_hit_at_the_sampling_rate(self):
+        rng = np.random.default_rng(9)
+        draws, p = 200_000, 0.3
+        x, z = sample_pauli_errors(draws, 2, p, rng)
+        hit = (x | z).any(axis=1)
+        assert abs(hit.mean() - p) < 5 * math.sqrt(p * (1 - p) / draws)
+        codes = (x[hit] + 2 * z[hit]) @ np.array([1, 4])  # 1..15, uniform
+        counts = np.bincount(codes, minlength=16)
+        assert counts[0] == 0
+        expected = hit.sum() / 15
+        assert np.all(np.abs(counts[1:] - expected) < 5 * math.sqrt(expected))
+        none_x, none_z = sample_pauli_errors(100, 2, 0.0, rng)
+        assert not none_x.any() and not none_z.any()
 
     def test_trajectory_average_matches_channel(self):
         """Sampled Paulis at the converted rate reproduce apply_depolarizing."""
@@ -132,12 +148,22 @@ class TestNoisyReadout:
         assert all(noisy_readout(1, conf, rng) == 0 for _ in range(50))
 
     def test_flip_frequency(self):
+        # The one-shot readout draws through noisy_readouts; draw in bulk.
         rng = np.random.default_rng(8)
         conf = ConfusionMatrix(0.006, 0.006)
         draws = 1_000_000
-        flips = sum(noisy_readout(0, conf, rng) for _ in range(draws))
+        flips = int(noisy_readouts(np.zeros(draws, dtype=bool), conf, rng).sum())
         sigma = math.sqrt(draws * 0.006 * 0.994)
         assert abs(flips - draws * 0.006) < 3 * sigma
+
+    def test_bulk_flips_follow_the_true_value(self):
+        rng = np.random.default_rng(10)
+        conf = ConfusionMatrix(p01=0.2, p10=0.05)
+        true = np.arange(200_000) % 2 == 1
+        reported = noisy_readouts(true, conf, rng)
+        for value, p in ((False, conf.p10), (True, conf.p01)):
+            rate = np.mean(reported[true == value] != value)
+            assert abs(rate - p) < 5 * math.sqrt(p * (1 - p) / 100_000)
 
     def test_epsilon_ro_average(self):
         assert ConfusionMatrix(0.004, 0.008).epsilon_ro == pytest.approx(0.006)
