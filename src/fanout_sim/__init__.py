@@ -63,7 +63,6 @@ from .states import (
     PureState,
     QubitRegister,
     fidelity,
-    init_state,
 )
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "frame_update",
     "idle_error_probability",
     "idle_intervals",
-    "init_state",
     "joint_x_expectation",
     "noisy_readout",
     "output_fidelity",

@@ -87,6 +87,11 @@ class MeasureOp:
         if self.role not in ("z", "x"):
             raise ValueError(f"measurement role must be 'z' or 'x', got {self.role!r}")
 
+    @property
+    def column(self) -> int:
+        """Position of the reported bit in the record z1 x1 z2 x2 ..."""
+        return 2 * self.slot + (self.role == "x")
+
 
 @dataclass(frozen=True)
 class RecoverOp:
@@ -155,13 +160,21 @@ class Circuit:
         measured = [op.qubit for op in self.operations() if isinstance(op, MeasureOp)]
         if len(measured) != len(set(measured)):
             raise ValueError("a qubit is measured more than once")
-        done = set()
+        done, count = set(), self.register.count
         for layer in self.layers:
             for op in layer.ops:
                 for q in _op_qubits(op):
                     if q in done:
                         raise ValueError(f"operation on qubit {q} after its measurement")
+                    if not 0 <= q < count:
+                        raise ValueError(f"qubit {q} lies outside the {count}-qubit register")
             done.update(op.qubit for op in layer.ops if isinstance(op, MeasureOp))
+        unmeasured = tuple(q for q in range(count) if q not in done)
+        if self.outputs != unmeasured:
+            raise ValueError(f"outputs {self.outputs} must be the unmeasured qubits {unmeasured}")
+        columns = sorted(op.column for op in self.measurements())
+        if columns != list(range(len(columns))):
+            raise ValueError(f"measurement columns {columns} must be distinct and below {len(columns)}")
 
     def operations(self):
         for layer in self.layers:

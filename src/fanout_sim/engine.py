@@ -1,12 +1,17 @@
 """Protocol execution: exact branch enumeration and trajectory sampling.
 
-Exact mode walks the layered circuit on a density matrix (statevector when
-noiseless), enumerating every measurement branch (true outcome times
-reported outcome under readout confusion), applying the conditional
-recovery implied by the reported bits, and averaging the surviving output
-states. All live branches are stacked into one batched state, next to
-their weights and reported bits, so each gate, noise channel, idle slot and
-measurement is one kernel call across every branch; each branch still gets
+Both modes execute one walk of the circuit (``_walk``), which resolves every
+operation's register positions, noise sites and readout confusion in one
+place, and both keep the reported bits as a boolean array (one row per
+branch or shot) from which ``feedforward.recovery_indices`` picks each
+recovery.
+
+Exact mode walks a density matrix (statevector when noiseless), enumerating
+every measurement branch (true outcome times reported outcome under readout
+confusion), applying the conditional recovery implied by the reported bits,
+and averaging the surviving output states. All live branches are stacked
+into one batched state, next to their weights and reported bits, so each
+step is one kernel call across every branch; each branch still gets
 exactly the bits a walk of its own would give.
 
 Trajectory mode samples the same model by Pauli frames, after the CHP
@@ -32,12 +37,14 @@ from .circuits import (
     FrameMarkOp,
     GateOp,
     MeasureOp,
+    Operation,
     PrepareInputOp,
     RecoverOp,
     idle_events,
 )
-from .feedforward import PauliFrame, build_lookup_table, recovery_indices
+from .feedforward import PauliFrame, recovery_indices
 from .noise import (
+    ConfusionMatrix,
     NoiseModel,
     apply_depolarizing,
     depolarizing_sample_prob,
@@ -130,13 +137,6 @@ def target_state(inp: InputState, n: int) -> PureState:
     return PureState(amps, validate=False)
 
 
-def _idle_by_layer(circuit: Circuit) -> dict[int, list[tuple[int, float]]]:
-    by_layer: dict[int, list[tuple[int, float]]] = {}
-    for layer_idx, qubit, duration in idle_events(circuit):
-        by_layer.setdefault(layer_idx, []).append((qubit, duration))
-    return by_layer
-
-
 def _recovery_pulses(index: int, qubit: int) -> tuple[GateOp, ...]:
     """Pulse sequence for a two-bit recovery index (0=I, 1=X, 2=Z, 3=Z*X).
 
@@ -154,20 +154,55 @@ def _recovery_pulses(index: int, qubit: int) -> tuple[GateOp, ...]:
     return pulses
 
 
-class _Walk:
-    """Shared bookkeeping for one circuit execution."""
+@dataclass(frozen=True)
+class _Noise:
+    """A depolarizing site: probability ``p`` on ``qubits``."""
 
-    def __init__(self, circuit: Circuit, config: RunConfig):
-        self.circuit = circuit
-        self.config = config
-        self.noise = config.noise
-        self.alive = list(range(circuit.qubit_count))
-        self.idle_by_layer = _idle_by_layer(circuit)
-        self.measure_count = circuit.measure_count
-        self.table = build_lookup_table(circuit.n_outputs) if self.measure_count else None
+    qubits: tuple[int, ...]
+    p: float
 
-    def pos(self, qubit: int) -> int:
-        return self.alive.index(qubit)
+
+def _walk(circuit: Circuit, config: RunConfig):
+    """The steps that both engines execute, in order, as (op, positions, arg).
+
+    ``op`` is an operation of the circuit (decoupling pulses, simulated as
+    identity, are left out) or a ``_Noise`` site: with noise, one follows
+    every gate and the input pulse, and each layer ends with one per idle
+    slot. ``positions`` are the qubits' axes in the exact engine's register,
+    which drops each qubit when it is measured. ``arg`` is a measurement's
+    readout confusion (perfect when noiseless) or the depolarizing
+    probability after each recovery pulse (None unless ``noisy_recovery``).
+    """
+    noise = config.noise
+    recovery_p = noise.single_qubit_depol if noise is not None and config.noisy_recovery else None
+    idle: dict[int, list[_Noise]] = {}
+    for layer_idx, qubit, duration in idle_events(circuit) if noise is not None else ():
+        site = _Noise((qubit,), noise.idle_probability(duration * 1e-9))
+        idle.setdefault(layer_idx, []).append(site)
+    position = {q: q for q in range(circuit.qubit_count)}
+    for layer_idx, layer in enumerate(circuit.layers):
+        for op in layer.ops:
+            if not isinstance(op, Operation):
+                raise TypeError(f"unexpected operation {op!r}")
+            if isinstance(op, DecoupleOp):
+                continue
+            qubits = op.targets if isinstance(op, GateOp) else (op.qubit,)
+            pos = tuple(position[q] for q in qubits)
+            if isinstance(op, MeasureOp):
+                yield op, pos, ConfusionMatrix() if noise is None else noise.confusion_for(op.qubit)
+                del position[op.qubit]
+                position = {q: i for i, q in enumerate(position)}
+            elif isinstance(op, RecoverOp):
+                yield op, pos, recovery_p
+            elif isinstance(op, FrameMarkOp):
+                yield op, pos, None
+            else:  # a gate or the input pulse, then its depolarizing site
+                yield op, pos, None
+                if noise is not None:
+                    p = noise.two_qubit_depol if len(qubits) == 2 else noise.single_qubit_depol
+                    yield _Noise(qubits, p), pos, None
+        for site in idle.get(layer_idx, ()):
+            yield site, (position[site.qubits[0]],), None
 
 
 def _members(state: PureState | DensityState) -> np.ndarray:
@@ -175,12 +210,32 @@ def _members(state: PureState | DensityState) -> np.ndarray:
     return state.amplitudes if isinstance(state, PureState) else state.matrix
 
 
+def _recovery_groups(reported: np.ndarray, op: RecoverOp | FrameMarkOp):
+    """(index, rows) for each recovery index 1..3 that some row of reported
+    bits (columns z1 x1 z2 x2 ...) gives ``op``'s output."""
+    index = recovery_indices(reported[:, 0::2], reported[:, 1::2])[:, op.output_index - 1]
+    for value in (1, 2, 3):
+        rows = np.flatnonzero(index == value)
+        if rows.size:
+            yield value, rows
+
+
+def _masks(bits: np.ndarray) -> np.ndarray:
+    """Integer codes of boolean bit rows, the first column most significant."""
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
+def _keys(codes, width: int) -> dict[int, str]:
+    """Histogram key of each reported-bit code: its ``width`` bits, in order."""
+    return {code: format(code, f"0{width}b") if width else "" for code in codes}
+
+
 def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
     """Exact output state by full measurement-branch enumeration.
 
     Every live branch is one member of a single batched state, next to its
-    weight and its reported-bit key (interleaved z1 x1 z2 x2 ...), so each
-    operation is one kernel call across all branches.
+    weight and its row of reported bits, so each step of the walk is one
+    kernel call across all branches.
     """
     noise = config.noise
     ceiling = PURE_QUBIT_CEILING if noise is None else DENSITY_QUBIT_CEILING
@@ -188,115 +243,94 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
         raise CeilingError(
             f"{circuit.qubit_count} qubits exceed the {ceiling}-qubit exact ceiling"
         )
-    walk = _Walk(circuit, config)
-    n_out = circuit.n_outputs
     pure_mode = noise is None
     single = (PureState if pure_mode else DensityState).zeros(circuit.qubit_count)
     state = type(single)(_members(single)[None], validate=False)  # a batch of one branch
     weights = [1.0]
-    keys = ["?" * walk.measure_count]
+    width = circuit.measure_count
+    reported = np.zeros((1, width), dtype=bool)  # columns z1 x1 z2 x2 ...
 
-    for layer_idx, layer in enumerate(circuit.layers):
-        for op in layer.ops:
-            if isinstance(op, DecoupleOp):
-                continue
-            if isinstance(op, MeasureOp):
-                state, weights, keys = _branch_measurement(walk, state, weights, keys, op)
-                walk.alive.remove(op.qubit)
-            elif isinstance(op, PrepareInputOp):
-                q = walk.pos(op.qubit)
-                state.prepare_input(q, config.input)
-                if noise is not None:
-                    apply_depolarizing(state, (q,), noise.single_qubit_depol)
-            elif isinstance(op, GateOp):
-                targets = tuple(walk.pos(q) for q in op.targets)
-                state.apply_matrix(op.matrix(), targets)
-                if noise is not None:
-                    p = noise.two_qubit_depol if len(targets) == 2 else noise.single_qubit_depol
-                    apply_depolarizing(state, targets, p)
-            elif isinstance(op, (RecoverOp, FrameMarkOp)):
-                _recover(walk, state, keys, op)
-            else:
-                raise TypeError(f"unexpected operation {op!r}")
-        if noise is not None:
-            for qubit, duration in walk.idle_by_layer.get(layer_idx, ()):
-                p = noise.idle_probability(duration * 1e-9)
-                apply_depolarizing(state, (walk.pos(qubit),), p)
+    for op, pos, arg in _walk(circuit, config):
+        if isinstance(op, _Noise):
+            apply_depolarizing(state, pos, op.p)
+        elif isinstance(op, GateOp):
+            state.apply_matrix(op.matrix(), pos)
+        elif isinstance(op, PrepareInputOp):
+            state.prepare_input(pos[0], config.input)
+        elif isinstance(op, MeasureOp):
+            state, weights, reported = _branch_measurement(state, weights, reported, op, pos[0], arg)
+        else:
+            _recover(state, _recovery_groups(reported, op), pos[0], arg)
 
-    assert walk.alive == list(circuit.outputs)
     # Sequential sums in branch order: a pairwise np.sum would move the low bits.
     total = sum(weights)
-    dim = 2**n_out
+    codes = _masks(reported).tolist()
+    keys = _keys(codes, width)
+    dim = 2**circuit.n_outputs
     acc = np.zeros((dim, dim), dtype=complex)
-    histogram: dict[str, float] = {}
+    histogram: dict[int, float] = {}
     kept_pure: list[tuple[str, float, PureState]] = []
-    for key, weight, member in zip(keys, weights, _members(state)):
+    for code, weight, member in zip(codes, weights, _members(state)):
         prob = weight / total
-        histogram[key] = histogram.get(key, 0.0) + prob
+        histogram[code] = histogram.get(code, 0.0) + prob
         if pure_mode:
             acc += prob * np.outer(member, member.conj())
-            kept_pure.append((key, prob, PureState(member, validate=False)))
+            kept_pure.append((keys[code], prob, PureState(member, validate=False)))
         else:
             acc += prob * member
     return RunResult(
         family=circuit.family,
-        n_outputs=n_out,
+        n_outputs=circuit.n_outputs,
         duration_ns=circuit.duration_ns,
         output_state=DensityState(acc, validate=False),
-        histogram=dict(sorted(histogram.items())),
+        histogram={keys[code]: histogram[code] for code in sorted(histogram)},
         branches=kept_pure if pure_mode else None,
         input=config.input,
         pruned_mass=1.0 - total,
     )
 
 
-def _branch_measurement(walk: _Walk, state, weights: list, keys: list[str], op: MeasureOp):
-    """Split every branch on a Z measurement and its reported bit.
+def _branch_measurement(state, weights: list, reported: np.ndarray, op: MeasureOp, q: int,
+                        conf: ConfusionMatrix):
+    """Split every branch on a Z measurement of axis ``q`` and its reported bit.
 
     Children keep the order parent, true outcome, reported bit (true first),
     and a child whose weight falls below ``BRANCH_PRUNE`` is dropped.
     """
-    q = walk.pos(op.qubit)
     split = state.branch_z(q)
     if isinstance(state, PureState):
         reduced = [post.remove_collapsed(q, outcome) for outcome, post, _ in split]
     else:
         reduced = [post.discard_qubits((q,)) for _, post, _ in split]
-    conf = walk.noise.confusion_for(op.qubit) if walk.noise is not None else None
-    flips = (0.0, 0.0) if conf is None else (conf.p10, conf.p01)  # by true outcome
-    col = 2 * op.slot + (op.role == "x")
-    outcomes, parents, new_weights, new_keys = [], [], [], []
-    for parent, (weight, key) in enumerate(zip(weights, keys)):
+    flips = (conf.p10, conf.p01)  # by true outcome
+    outcomes, parents, new_weights, bits = [], [], [], []
+    for parent, weight in enumerate(weights):
         for outcome, _, probs in split:
             flip = flips[outcome]
-            for reported, w in ((outcome, 1.0 - flip), (1 - outcome, flip)):
+            for bit, w in ((outcome, 1.0 - flip), (1 - outcome, flip)):
                 new_weight = weight * probs[parent] * w
                 if new_weight < BRANCH_PRUNE:
                     continue
                 outcomes.append(outcome)
                 parents.append(parent)
                 new_weights.append(new_weight)
-                new_keys.append(f"{key[:col]}{reported}{key[col + 1:]}")
+                bits.append(bit)
     children = np.stack([_members(r) for r in reduced])[outcomes, parents]
-    return type(state)(children, validate=False), new_weights, new_keys
+    reported = reported[parents]
+    reported[:, op.column] = bits
+    return type(state)(children, validate=False), new_weights, reported
 
 
-def _recover(walk: _Walk, state, keys: list[str], op: RecoverOp | FrameMarkOp) -> None:
-    """Apply each branch's recovery pulses, one group per recovery index."""
-    q = walk.pos(op.qubit)
-    noise = walk.noise
-    noisy = walk.config.noisy_recovery and noise is not None and isinstance(op, RecoverOp)
-    index = np.array([walk.table[key][op.output_index - 1] for key in keys])
+def _recover(state, groups, q: int, p: float | None) -> None:
+    """Apply each group's recovery pulses to axis ``q`` of its branches,
+    with depolarizing noise of ``p`` after each pulse when it is set."""
     members = _members(state)
-    for value in (1, 2, 3):
-        rows = np.flatnonzero(index == value)
-        if not rows.size:
-            continue
+    for value, rows in groups:
         group = type(state)(members[rows], validate=False)
-        for pulse in _recovery_pulses(value, op.qubit):
+        for pulse in _recovery_pulses(value, q):
             group.apply_matrix(pulse.matrix(), (q,))
-            if noisy:
-                apply_depolarizing(group, (q,), noise.single_qubit_depol)
+            if p is not None:
+                apply_depolarizing(group, (q,), p)
         members[rows] = _members(group)
 
 
@@ -308,7 +342,7 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     its qubit) gives every shot's reference outcome and output slice. Each
     shot then carries a Pauli frame; the frames of all shots are boolean
     arrays of shape (shots, qubits) that each gate, noise site, readout and
-    recovery updates in one vectorized step.
+    recovery of the walk updates in one vectorized step.
     """
     if config.mode != "trajectories":
         raise ValueError("run_trajectory requires trajectory mode")
@@ -317,12 +351,10 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
             f"{circuit.qubit_count} qubits exceed the "
             f"{PURE_QUBIT_CEILING}-qubit statevector ceiling"
         )
-    noise = config.noise
     shots, count = config.shots, circuit.qubit_count
     rng = np.random.default_rng(config.seed)
     measured = [op.qubit for op in circuit.measurements()]
     outputs = list(circuit.outputs)
-    assert sorted(measured + outputs) == list(range(count))
     # A view of the reference with the measured qubits' axes first; the
     # reductions below make no full-size temporaries.
     tensor = _reference(circuit, config.input).amplitudes.reshape((2,) * count)
@@ -339,37 +371,19 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     z = np.zeros((shots, count), dtype=bool)
     reported = np.zeros((shots, len(measured)), dtype=bool)  # columns z1 x1 z2 x2 ...
     marks = None  # recovery indices recorded by a FrameMarkOp
-    recovery_p = noise.single_qubit_depol if noise is not None and config.noisy_recovery else None
 
-    idle_by_layer = _idle_by_layer(circuit)
-    for layer_idx, layer in enumerate(circuit.layers):
-        for op in layer.ops:
-            if isinstance(op, DecoupleOp):
-                continue
-            if isinstance(op, PrepareInputOp):
-                if noise is not None:
-                    _add_errors(x, z, (op.qubit,), noise.single_qubit_depol, rng)
-            elif isinstance(op, GateOp):
-                _conjugate(x, z, op)
-                if noise is not None:
-                    p = noise.two_qubit_depol if len(op.targets) == 2 else noise.single_qubit_depol
-                    _add_errors(x, z, op.targets, p, rng)
-            elif isinstance(op, MeasureOp):
-                bits = ref_bits[:, column[op.qubit]] ^ x[:, op.qubit]
-                if noise is not None:
-                    bits = noisy_readouts(bits, noise.confusion_for(op.qubit), rng)
-                reported[:, 2 * op.slot + (op.role == "x")] = bits
-            elif isinstance(op, RecoverOp):
-                index = recovery_indices(reported[:, 0::2], reported[:, 1::2])
-                _recover_frames(x, z, op, index[:, op.output_index - 1], recovery_p, rng)
-            elif isinstance(op, FrameMarkOp):
-                if op.output_index == 1:
-                    marks = recovery_indices(reported[:, 0::2], reported[:, 1::2])
-            else:
-                raise TypeError(f"unexpected operation {op!r}")
-        if noise is not None:
-            for qubit, duration in idle_by_layer.get(layer_idx, ()):
-                _add_errors(x, z, (qubit,), noise.idle_probability(duration * 1e-9), rng)
+    for op, _, arg in _walk(circuit, config):
+        if isinstance(op, _Noise):
+            _add_errors(x, z, op.qubits, op.p, rng)
+        elif isinstance(op, GateOp):
+            _conjugate(x, z, op)
+        elif isinstance(op, MeasureOp):
+            bits = ref_bits[:, column[op.qubit]] ^ x[:, op.qubit]
+            reported[:, op.column] = noisy_readouts(bits, arg, rng)
+        elif isinstance(op, RecoverOp):
+            _recover_frames(x, z, _recovery_groups(reported, op), op.qubit, arg, rng)
+        elif isinstance(op, FrameMarkOp) and op.output_index == 1:
+            marks = recovery_indices(reported[:, 0::2], reported[:, 1::2])
 
     n_out = circuit.n_outputs
     # Each shot's output slice; the leading zero index also serves a circuit
@@ -380,7 +394,7 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     # Shots with equal bits share one key string and one (frozen) PauliFrame.
     codes = _masks(reported).tolist()
     counts = Counter(codes)
-    keys = {code: format(code, f"0{len(measured)}b") if measured else "" for code in counts}
+    keys = _keys(counts, len(measured))
     if marks is None:
         frame_codes, frames = [0] * shots, {0: PauliFrame.identity(n_out)}
     else:
@@ -465,30 +479,22 @@ def _add_errors(x: np.ndarray, z: np.ndarray, qubits, p: float, rng) -> None:
     z[:, cols] ^= ez
 
 
-def _recover_frames(x, z, op: RecoverOp, index: np.ndarray, p: float | None, rng) -> None:
-    """Apply each shot's recovery pulses to its frame, one group per index.
+def _recover_frames(x, z, groups, qubit: int, p: float | None, rng) -> None:
+    """Apply each group's recovery pulses to its shots' frames.
 
     The pulses multiply to the recovery Pauli, so each group's frames are
     carried through them (with a sampled error after each pulse when ``p``
     is set) and the recovery Pauli is XORed in.
     """
-    for value in (1, 2, 3):
-        rows = np.flatnonzero(index == value)
-        if not rows.size:
-            continue
+    for value, rows in groups:
         gx, gz = x[rows], z[rows]
-        for pulse in _recovery_pulses(value, op.qubit):
+        for pulse in _recovery_pulses(value, qubit):
             _conjugate(gx, gz, pulse)
             if p is not None:
-                _add_errors(gx, gz, (op.qubit,), p, rng)
-        gx[:, op.qubit] ^= bool(value & 1)
-        gz[:, op.qubit] ^= bool(value & 2)
+                _add_errors(gx, gz, (qubit,), p, rng)
+        gx[:, qubit] ^= bool(value & 1)
+        gz[:, qubit] ^= bool(value & 2)
         x[rows], z[rows] = gx, gz
-
-
-def _masks(bits: np.ndarray) -> np.ndarray:
-    """Integer codes of boolean bit rows, the first column most significant."""
-    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
 
 
 def _apply_paulis(amps: np.ndarray, x_masks: np.ndarray, z_masks: np.ndarray) -> np.ndarray:

@@ -7,11 +7,10 @@ replaced by device averages raised to the occurrence counts of each family.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .circuits import FAMILIES, table_counts
-from .noise import IDLE_LAWS, idle_error_probability
+from .noise import IDLE_LAWS
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,6 @@ class ErrorRates:
     @property
     def eps_idle_avg(self) -> float:
         """Idle error of one qubit idling for one CNOT time."""
-        if math.isinf(self.t2_echo):
-            return 0.0
-        if self.idle_law == "exponential":
-            return idle_error_probability(self.t_cnot, self.t2_echo)
         return IDLE_LAWS[self.idle_law](self.t2_echo)(self.t_cnot)
 
 

@@ -199,6 +199,19 @@ def _outcomes(probs: np.ndarray):
         yield outcome, np.where(live, p, 0.0), np.where(live, p, 1.0)
 
 
+def _pick_branch(branches, rng: np.random.Generator, force: int | None):
+    """The branch of ``branch_z`` that a measurement keeps: outcome
+    ``force``, or outcome 1 with its probability. An outcome below
+    ``ZERO_PROB`` has no branch, so a draw keeps the other one."""
+    live = {branch[0]: branch for branch in branches}
+    if force is None:
+        outcome = 1 if rng.random() < (live[1][2] if 1 in live else 0.0) else 0
+        return live.get(outcome, branches[0])
+    if int(force) not in live:
+        raise ValueError(f"forced outcome {force} has zero probability")
+    return live[int(force)]
+
+
 class PureState:
     """Pure statevector over ``n`` qubits, mutated in place."""
 
@@ -278,16 +291,8 @@ class PureState:
 
     def measure_z(self, qubit: int, rng: np.random.Generator, force: int | None = None):
         """Projective Z measurement. Returns (outcome, self, probability)."""
-        probs = self.probabilities_z(qubit)
-        if force is None:
-            outcome = 1 if rng.random() < probs[1] else 0
-        else:
-            outcome = int(force)
-            if probs[outcome] < ZERO_PROB:
-                raise ValueError(f"forced outcome {outcome} has zero probability")
-        p = probs[outcome]
-        t = _zero_other(self._tensor(), (qubit,), outcome)
-        self.amplitudes = t.reshape(self.amplitudes.shape) / math.sqrt(p)
+        outcome, post, p = _pick_branch(self.branch_z(qubit), rng, force)
+        self.amplitudes = post.amplitudes
         return outcome, self, p
 
     def branch_z(self, qubit: int):
@@ -347,10 +352,6 @@ class DensityState:
         return cls(m, validate=False)
 
     @classmethod
-    def from_pure(cls, state: PureState) -> "DensityState":
-        return state.to_density()
-
-    @classmethod
     def maximally_mixed(cls, count: int) -> "DensityState":
         return cls(np.eye(2**count, dtype=complex) / 2**count, validate=False)
 
@@ -358,12 +359,16 @@ class DensityState:
         return DensityState(self.matrix.copy(), validate=False)
 
     def validate(self, psd: bool = False) -> None:
+        """Check every member: Hermitian, trace 1 and, with ``psd``, no
+        eigenvalue below ``-PSD_CLAMP``."""
         m = self.matrix
-        if not np.allclose(m, m.conj().T, atol=1e-8):
+        adjoint = np.swapaxes(m, -1, -2).conj()
+        if not np.allclose(m, adjoint, atol=1e-8):
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-8:
-            raise ValueError(f"density matrix trace {np.trace(m).real} is not 1")
-        if psd and np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -PSD_CLAMP:
+        trace = np.trace(m, axis1=-2, axis2=-1).real
+        if np.any(np.abs(trace - 1.0) > 1e-8):
+            raise ValueError(f"density matrix trace {trace} is not 1")
+        if psd and np.linalg.eigvalsh((m + adjoint) / 2.0).min() < -PSD_CLAMP:
             raise ValueError("density matrix has a significantly negative eigenvalue")
 
     def _tensor(self) -> np.ndarray:
@@ -400,16 +405,8 @@ class DensityState:
 
     def measure_z(self, qubit: int, rng: np.random.Generator, force: int | None = None):
         """Projective Z measurement. Returns (outcome, self, probability)."""
-        probs = self.probabilities_z(qubit)
-        if force is None:
-            outcome = 1 if rng.random() < probs[1] else 0
-        else:
-            outcome = int(force)
-            if probs[outcome] < ZERO_PROB:
-                raise ValueError(f"forced outcome {outcome} has zero probability")
-        p = probs[outcome]
-        t = _zero_other(self._tensor().copy(), (qubit, self.n + qubit), outcome)
-        self.matrix = t.reshape(self.matrix.shape) / p
+        outcome, post, p = _pick_branch(self.branch_z(qubit), rng, force)
+        self.matrix = post.matrix
         return outcome, self, p
 
     def branch_z(self, qubit: int):
@@ -452,11 +449,6 @@ class DensityState:
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
-
-
-def init_state(register: QubitRegister) -> PureState:
-    """Ground state |0...0> over the register."""
-    return PureState.zeros(register.count)
 
 
 def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:

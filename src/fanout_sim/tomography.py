@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .noise import ConfusionMatrix
+from .noise import ConfusionMatrix, noisy_readouts
 from .states import PAULI_MATRICES, DensityState, gate_matrix
 
 #: Rotations mapping each Pauli eigenbasis onto the computational basis.
@@ -83,13 +83,12 @@ def simulate_shots(
     k = state.n
     probs = _rotated_probabilities(state, setting)
     outcomes = rng.choice(2**k, size=shots, p=probs)
-    if confusion is not None and (confusion.p01 > 0.0 or confusion.p10 > 0.0):
+    if confusion is not None:
+        weights = 1 << np.arange(k - 1, -1, -1)  # qubit 0 is the most significant bit
+        bits = (outcomes[:, None] & weights) > 0
         for q in range(k):
-            shift = k - 1 - q
-            bits = (outcomes >> shift) & 1
-            flip_p = np.where(bits == 1, confusion.p01, confusion.p10)
-            flips = rng.random(shots) < flip_p
-            outcomes = np.where(flips, outcomes ^ (1 << shift), outcomes)
+            bits[:, q] = noisy_readouts(bits[:, q], confusion, rng)
+        outcomes = bits @ weights
     values, counts = np.unique(outcomes, return_counts=True)
     return {format(v, f"0{k}b"): int(c) for v, c in zip(values, counts)}
 
@@ -137,7 +136,7 @@ def linear_inversion(data: TomogramData) -> np.ndarray:
     outcomes = np.arange(2**k)
     subset_signs = {}
     for subset in range(2**k):
-        subset_signs[subset] = 1 - 2 * (_popcount(outcomes & subset) & 1)
+        subset_signs[subset] = 1 - 2 * (np.bitwise_count(outcomes & subset).astype(np.int64) & 1)
 
     sums: dict[str, float] = {}
     hits: dict[str, int] = {}
@@ -155,15 +154,6 @@ def linear_inversion(data: TomogramData) -> np.ndarray:
     for pauli, total in sums.items():
         rho += (total / hits[pauli]) * _pauli_matrix(pauli)
     return rho / dim
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    v = values.copy()
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
 
 
 def _pauli_matrix(pauli: str) -> np.ndarray:

@@ -228,6 +228,24 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Circuit("feedforward", 2, register, layers, (1,))
 
+    def test_qubit_outside_register_rejected(self):
+        register = QubitRegister(("in", "a1"))
+        layers = (Layer(32.0, "prepare", (GateOp("H", (5,)),)),)
+        with pytest.raises(ValueError, match="outside"):
+            Circuit("unitary", 2, register, layers, (0, 1))
+
+    def test_measured_output_rejected(self):
+        register = QubitRegister(("in", "a1", "b1"))
+        layers = (Layer(400.0, "measure", (MeasureOp(0, "z", 0), MeasureOp(1, "x", 0))),)
+        with pytest.raises(ValueError, match="unmeasured"):
+            Circuit("feedforward", 2, register, layers, (1, 2))
+
+    def test_colliding_measurement_columns_rejected(self):
+        register = QubitRegister(("in", "a1", "b1"))
+        layers = (Layer(400.0, "measure", (MeasureOp(0, "z", 0), MeasureOp(1, "z", 0))),)
+        with pytest.raises(ValueError, match="columns"):
+            Circuit("feedforward", 2, register, layers, (2,))
+
     def test_timing_model_validation(self):
         with pytest.raises(ValueError):
             TimingModel(t_1q=0.0)

@@ -1,9 +1,11 @@
 """Protocol engine tests: exact branch enumeration and trajectories."""
 import dataclasses
 import functools
+import json
 import math
 from functools import reduce
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from fanout_sim.engine import (
     cardinal_error,
     joint_x_expectation,
     output_fidelity,
+    run,
     run_exact,
     run_trajectory,
     serialize_run_result,
@@ -46,6 +49,10 @@ ONE = InputState(math.pi, 0.0)
 ORACLE_INPUTS = {"+": PLUS, "theta=1.0,phi=0.5": InputState(1.0, 0.5)}
 ORACLE_SHOTS = 50_000
 
+#: Every (family, n, input label, noisy_recovery) case of ``exact_oracle``.
+ORACLE_CASES = list(product(FAMILIES, (2, 3, 4), ORACLE_INPUTS, (False, True)))
+REFERENCE = Path(__file__).with_name("exact_reference.json")
+
 
 def noiseless(inp, **kwargs):
     return RunConfig(input=inp, noise=None, **kwargs)
@@ -60,6 +67,47 @@ def exact_oracle(family, n, label, noisy_recovery):
         noisy_recovery=noisy_recovery,
     )
     return run_exact(build_circuit(family, n), config)
+
+
+def _case_id(family, n, label, noisy_recovery) -> str:
+    return f"{family}-n{n}-{label}-{'noisy_recovery' if noisy_recovery else 'clean'}"
+
+
+def _reference_values(result, inp) -> dict:
+    return {
+        "fidelity": output_fidelity(result, inp),
+        "joint_x": joint_x_expectation(result),
+        "histogram": result.histogram,
+    }
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[_case_id(*case) for case in ORACLE_CASES])
+def test_exact_oracle_matches_reference(case):
+    """The noisy exact runs match values checked in from an earlier engine.
+
+    ``python tests/test_engine.py`` rewrites the reference from the code on
+    ``sys.path``; only feedforward circuits carry recovery pulses, so the
+    other families share the runs of their clean cases.
+    """
+    family, n, label, noisy_recovery = case
+    expected = json.loads(REFERENCE.read_text())[_case_id(*case)]
+    result = exact_oracle(family, n, label, noisy_recovery and family == FAMILY_FEEDFORWARD)
+    actual = _reference_values(result, ORACLE_INPUTS[label])
+    assert actual["fidelity"] == pytest.approx(expected["fidelity"], abs=1e-12)
+    assert actual["joint_x"] == pytest.approx(expected["joint_x"], abs=1e-12)
+    assert list(actual["histogram"]) == list(expected["histogram"])
+    np.testing.assert_allclose(
+        list(actual["histogram"].values()), list(expected["histogram"].values()), rtol=0, atol=1e-12
+    )
+
+
+def write_reference() -> None:
+    """Rewrite ``exact_reference.json`` from the code on ``sys.path``."""
+    values = {
+        _case_id(*case): _reference_values(exact_oracle(*case), ORACLE_INPUTS[case[2]])
+        for case in ORACLE_CASES
+    }
+    REFERENCE.write_text(json.dumps(values, indent=1) + "\n")
 
 
 class TestRunExactNoiseless:
@@ -247,6 +295,18 @@ class TestRunTrajectory:
             run_trajectory(circuit, noiseless(PLUS, mode="trajectories", shots=8, seed=1))
 
 
+@dataclasses.dataclass(frozen=True)
+class _UnknownOp:
+    qubit: int
+
+
+@pytest.mark.parametrize("mode", ["exact", "trajectories"])
+def test_unknown_operation_rejected(mode):
+    circuit = _one_qubit_circuit(_UnknownOp(0))
+    with pytest.raises(TypeError, match="unexpected operation"):
+        run(circuit, noiseless(PLUS, mode=mode, seed=1))
+
+
 def assert_within_five_standard_errors(result, exact, inp, max_bound=None):
     """Fidelity, joint-X and every histogram bin of a trajectory run lie
     within 5 standard errors of the exact run.
@@ -403,3 +463,7 @@ def test_noisy_recovery_option_adds_error():
     clean = cardinal_error(circuit, noise, noisy_recovery=False)
     noisy = cardinal_error(circuit, noise, noisy_recovery=True)
     assert noisy > clean
+
+
+if __name__ == "__main__":
+    write_reference()

@@ -13,7 +13,6 @@ from fanout_sim.states import (
     QubitRegister,
     fidelity,
     gate_matrix,
-    init_state,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -39,15 +38,15 @@ def overlap(state, amplitudes):
 
 class TestInitState:
     def test_single_qubit_ground(self):
-        state = init_state(QubitRegister(("in",)))
+        state = PureState.zeros(1)
         np.testing.assert_allclose(state.amplitudes, [1, 0])
 
     def test_two_qubit_ground(self):
-        state = init_state(QubitRegister(("in", "a1")))
+        state = PureState.zeros(2)
         np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0])
 
     def test_ten_qubit_ground(self):
-        state = init_state(QubitRegister(tuple(f"q{i}" for i in range(10))))
+        state = PureState.zeros(10)
         assert state.amplitudes[0] == 1.0
         assert np.count_nonzero(state.amplitudes) == 1
 
@@ -140,6 +139,13 @@ class TestApplyGate:
         assert abs(np.trace(dense.matrix).real - 1.0) < 1e-10
 
 
+class _LargestDraw:
+    """A generator whose every draw is the largest double below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
 class TestMeasureZ:
     def test_excited_state_deterministic(self):
         rng = np.random.default_rng(0)
@@ -176,6 +182,31 @@ class TestMeasureZ:
         assert prob == pytest.approx(0.5)
         assert post.expectation("ZI") == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+    def test_measure_keeps_its_branch(self, density):
+        """A measurement keeps exactly one branch of ``branch_z`` and draws
+        one random number; an outcome below ``ZERO_PROB`` is never kept."""
+        rng = np.random.default_rng(9)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+
+        def make(amplitudes):
+            pure = PureState(amplitudes / np.linalg.norm(amplitudes))
+            return pure.to_density() if density else pure
+
+        def array(state):
+            return state.matrix if density else state.amplitudes
+
+        for outcome, branch, prob in make(amps).branch_z(1):
+            _, post, p = make(amps).measure_z(1, rng, force=outcome)
+            assert p == prob
+            assert np.array_equal(array(post), array(branch))
+        draws, reference = np.random.default_rng(4), np.random.default_rng(4)
+        make(amps).measure_z(1, draws)
+        assert draws.random() == (reference.random(), reference.random())[1]
+        # Outcome 0 has probability 1e-15, so even the largest draw keeps 1.
+        nearly_one = make(np.array([np.sqrt(1e-15), np.sqrt(1 - 1e-15)]))
+        assert nearly_one.measure_z(0, _LargestDraw())[0] == 1
+
 
 class TestBranchZ:
     def test_plus_state_two_branches(self):
@@ -203,6 +234,35 @@ class TestBranchZ:
         dephased[:2, 2:] = 0.0
         dephased[2:, :2] = 0.0
         np.testing.assert_allclose(rebuilt, dephased, atol=1e-12)
+
+
+class TestValidateBatch:
+    """``DensityState`` checks every member of a batch."""
+
+    def _batch(self):
+        rng = np.random.default_rng(8)
+        return np.stack([random_density(rng, 2).matrix for _ in range(3)])
+
+    def test_valid_batch_accepted(self):
+        DensityState(self._batch()).validate(psd=True)
+
+    def test_one_non_hermitian_member_rejected(self):
+        batch = self._batch()
+        batch[1, 0, 3] += 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityState(batch)
+
+    def test_one_wrong_trace_member_rejected(self):
+        batch = self._batch()
+        batch[2] *= 1.1
+        with pytest.raises(ValueError, match="trace"):
+            DensityState(batch)
+
+    def test_one_negative_member_rejected(self):
+        batch = self._batch()
+        batch[0] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match="negative"):
+            DensityState(batch).validate(psd=True)
 
 
 class TestExpectation:
