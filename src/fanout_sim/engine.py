@@ -53,6 +53,7 @@ from .noise import (
 )
 from .states import (
     CARDINAL_INPUTS,
+    ZERO_PROB,
     DensityState,
     InputState,
     PureState,
@@ -254,7 +255,7 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
         if isinstance(op, _Noise):
             apply_depolarizing(state, pos, op.p)
         elif isinstance(op, GateOp):
-            state.apply_matrix(op.matrix(), pos)
+            state.apply_gate(op, pos)
         elif isinstance(op, PrepareInputOp):
             state.prepare_input(pos[0], config.input)
         elif isinstance(op, MeasureOp):
@@ -294,31 +295,31 @@ def _branch_measurement(state, weights: list, reported: np.ndarray, op: MeasureO
                         conf: ConfusionMatrix):
     """Split every branch on a Z measurement of axis ``q`` and its reported bit.
 
-    Children keep the order parent, true outcome, reported bit (true first),
-    and a child whose weight falls below ``BRANCH_PRUNE`` is dropped.
+    Children keep the order parent, true outcome, reported bit (true first).
+    An outcome below ``ZERO_PROB`` is not branched on, and a child whose
+    weight falls below ``BRANCH_PRUNE`` is dropped. Each child is its
+    parent's block for its outcome (``collapse_z``), made only once it is kept.
     """
-    split = state.branch_z(q)
-    if isinstance(state, PureState):
-        reduced = [post.remove_collapsed(q, outcome) for outcome, post, _ in split]
-    else:
-        reduced = [post.discard_qubits((q,)) for _, post, _ in split]
+    probs = state.probabilities_z(q)
     flips = (conf.p10, conf.p01)  # by true outcome
     outcomes, parents, new_weights, bits = [], [], [], []
     for parent, weight in enumerate(weights):
-        for outcome, _, probs in split:
+        for outcome in (0, 1):
+            p = probs[parent, outcome]
+            if p < ZERO_PROB:
+                continue
             flip = flips[outcome]
             for bit, w in ((outcome, 1.0 - flip), (1 - outcome, flip)):
-                new_weight = weight * probs[parent] * w
+                new_weight = weight * p * w
                 if new_weight < BRANCH_PRUNE:
                     continue
                 outcomes.append(outcome)
                 parents.append(parent)
                 new_weights.append(new_weight)
                 bits.append(bit)
-    children = np.stack([_members(r) for r in reduced])[outcomes, parents]
     reported = reported[parents]
     reported[:, op.column] = bits
-    return type(state)(children, validate=False), new_weights, reported
+    return state.collapse_z(q, parents, outcomes, probs), new_weights, reported
 
 
 def _recover(state, groups, q: int, p: float | None) -> None:
@@ -328,7 +329,7 @@ def _recover(state, groups, q: int, p: float | None) -> None:
     for value, rows in groups:
         group = type(state)(members[rows], validate=False)
         for pulse in _recovery_pulses(value, q):
-            group.apply_matrix(pulse.matrix(), (q,))
+            group.apply_gate(pulse, (q,))
             if p is not None:
                 apply_depolarizing(group, (q,), p)
         members[rows] = _members(group)
@@ -432,7 +433,7 @@ def _reference(circuit: Circuit, inp: InputState) -> PureState:
         elif isinstance(op, GateOp):
             if op.angle is not None:
                 _quarter_turns(op)
-            state.apply_matrix(op.matrix(), op.targets)
+            state.apply_gate(op)
         touched.update(op.targets if isinstance(op, GateOp) else (op.qubit,))
     return state
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import DensityState
+from .states import DensityState, _writable
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,7 @@ def apply_depolarizing(state: DensityState, qubits, p: float) -> DensityState:
         state._check_qubit(q)
     if p == 0.0:
         return state
-    if not (state.matrix.flags.c_contiguous and state.matrix.flags.writeable):
-        state.matrix = state.matrix.copy()
+    state.matrix = _writable(state.matrix)
     t = state._tensor()
     lead, n = len(state.batch), state.n
     blocks = []
@@ -219,9 +218,10 @@ def apply_depolarizing(state: DensityState, qubits, p: float) -> DensityState:
         tau = blocks[0] + blocks[1]
         for block in blocks[2:]:
             tau += block
+    tau *= p / len(blocks)
     state.matrix *= 1.0 - p
     for block in blocks:
-        block += (p / len(blocks)) * tau
+        block += tau
     return state
 
 

@@ -7,11 +7,32 @@ streams to every stochastic operation.
 
 A state may also hold a batch: its array then carries leading axes (the
 ``batch`` shape) in front of the qubit axes. The kernels ``apply_matrix``,
-``prepare_input``, ``probabilities_z``, ``branch_z``, ``discard_qubits``,
-``remove_collapsed`` and ``noise.apply_depolarizing`` act on the trailing
-qubit axes, so one call updates every member and an unbatched state is a
-batch of one. Each member gets exactly the bits it would get on its own.
-The remaining methods expect an unbatched state.
+``apply_cz``, ``apply_gate``, ``prepare_input``, ``probabilities_z``,
+``branch_z``, ``collapse_z``, ``discard_qubits``, ``remove_collapsed`` and
+``noise.apply_depolarizing`` act on the trailing qubit axes, so one call
+updates every member and an unbatched state is a batch of one. Each member
+gets exactly the bits it would get on its own. The remaining methods expect
+an unbatched state.
+
+Which kernel each gate takes (``apply_gate`` dispatches on the kind):
+
+* one-qubit gates (and the input pulse): ``_apply_axis``, one BLAS call on
+  a reshaped view of the array, with no transposing copy; a density matrix
+  takes it once per side;
+* CZ: ``apply_cz``, sign flips in place;
+* CNOT and any other 4x4 matrix: ``_contract``, the general ``tensordot``
+  contraction.
+
+The exact engine's measurement step takes ``collapse_z``, which slices each
+kept outcome's block out of its parent instead of copying and tracing.
+
+These kernels are bit-identical to the contraction and copies they
+replaced, signed zeros included (``tests/test_batch.py`` checks each, and
+``tools/compare_trees.py`` checks whole runs against another source tree).
+The contract exists because the tomography fidelity ``fidelity(rec.rho,
+truth)`` is ill-conditioned when the reconstruction is rank-deficient: a
+change of 1e-16 in the simulated state can move it by about 1e-8, which
+would move the ``tomo`` tables past their 1e-9 checks.
 """
 from __future__ import annotations
 
@@ -155,21 +176,73 @@ def _check_pauli_string(pauli: str, count: int) -> None:
         raise ValueError(f"invalid pauli letters {sorted(bad)}")
 
 
-def _apply_to_axes(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract matrix u (2^k x 2^k) into the given tensor axes."""
+def _contract(tensor: np.ndarray, u: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Contract matrix u (2^k x 2^k) into the given tensor axes.
+
+    The general path: ``tensordot`` copies the tensor with the axes moved to
+    the front, and the caller's reshape copies the result back.
+    """
     k = len(axes)
     u_t = u.reshape((2,) * (2 * k))
     out = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), list(axes)))
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
-def _zero_other(tensor: np.ndarray, axes: tuple[int, ...], outcome: int) -> np.ndarray:
-    """Zero, in place, every entry whose index on one of ``axes`` is not ``outcome``."""
+def _apply_axis(array: np.ndarray, u: np.ndarray, r: int) -> np.ndarray:
+    """A new array: the 2x2 ``u`` applied to the axis of C-ordered ``array``
+    whose trailing size is ``r``.
+
+    One BLAS call on a reshaped view, with no transposing copy: per block
+    of ``r`` (r >= 32), against ``kron(u, I_r)`` (2 <= r <= 16), or, with the
+    axis paired with the one before it, against ``kron(I_2, u)`` (r = 1).
+    Below r = 32 one call per block of ``r`` costs more than the Kronecker
+    product's zero terms. Each gives the bits of ``_contract``; the zero
+    terms add only signed zeros. An array whose size is not a multiple
+    of 8 (one or two qubits in a small batch) keeps ``_contract``: there its
+    BLAS call takes a remainder path whose bits no view reproduces.
+    """
+    if array.size % 8:
+        out = _contract(array.reshape(-1, 2, r), u, (1,))
+    elif r >= 32:
+        out = np.matmul(u, array.reshape(-1, 2, r))
+    elif r > 1:
+        out = array.reshape(-1, 2 * r) @ np.kron(u, np.eye(r)).T
+    else:
+        out = array.reshape(-1, 4) @ np.kron(np.eye(2), u).T
+    return out.reshape(array.shape)
+
+
+def _negate(tensor: np.ndarray, axes: tuple[int, ...]) -> None:
+    """Negate, in place, the entries whose index is 1 on each of ``axes``."""
+    index = [slice(None)] * tensor.ndim
     for axis in axes:
-        index = [slice(None)] * tensor.ndim
-        index[axis] = 1 - outcome
-        tensor[tuple(index)] = 0.0
-    return tensor
+        index[axis] = slice(1, 2)  # a view, never a scalar
+    block = tensor[tuple(index)]
+    np.negative(block, out=block)
+
+
+def _writable(array: np.ndarray) -> np.ndarray:
+    """``array``, or a C-ordered copy if it is not C-contiguous and writable,
+    for kernels that work in place through reshaped views."""
+    if array.flags.c_contiguous and array.flags.writeable:
+        return array
+    return array.copy()
+
+
+def _cz_targets(state, targets) -> tuple[int, int]:
+    a, b = (int(q) for q in targets)
+    state._check_qubit(a)
+    state._check_qubit(b)
+    if a == b:
+        raise ValueError("CZ targets must be distinct")
+    return a, b
+
+
+def _divisors(probs: np.ndarray, members, outcomes) -> np.ndarray:
+    """The probability of each (member, outcome) pair, or 1 below
+    ``ZERO_PROB`` as in ``_outcomes``."""
+    p = probs[members, outcomes]
+    return np.where(p >= ZERO_PROB, p, 1.0)
 
 
 def _per_member(values: np.ndarray, reduce) -> np.ndarray:
@@ -262,15 +335,36 @@ class PureState:
         self.amplitudes = np.moveaxis(t, 0, axis).reshape(self.amplitudes.shape)
         return self
 
+    def _split(self, qubit: int) -> np.ndarray:
+        """The amplitudes as (batch..., 2^qubit, 2, rest), ``qubit``'s axis in the middle."""
+        return self.amplitudes.reshape(self.batch + (2**qubit, 2, 2 ** (self.n - 1 - qubit)))
+
     def apply_matrix(self, u: np.ndarray, targets: tuple[int, ...]) -> "PureState":
         for q in targets:
             self._check_qubit(q)
+        if len(targets) == 1:
+            self.amplitudes = _apply_axis(self.amplitudes, u, 2 ** (self.n - 1 - targets[0]))
+            return self
         axes = tuple(len(self.batch) + q for q in targets)
-        self.amplitudes = _apply_to_axes(self._tensor(), u, axes).reshape(self.amplitudes.shape)
+        self.amplitudes = _contract(self._tensor(), u, axes).reshape(self.amplitudes.shape)
         return self
 
-    def apply_gate(self, gate: GateOp) -> "PureState":
-        return self.apply_matrix(gate.matrix(), gate.targets)
+    def apply_cz(self, targets: tuple[int, ...]) -> "PureState":
+        """CZ in place: negate the amplitudes where both target bits are set."""
+        a, b = _cz_targets(self, targets)
+        self.amplitudes = _writable(self.amplitudes)
+        lead = len(self.batch)
+        _negate(self._tensor(), (lead + a, lead + b))
+        return self
+
+    def apply_gate(self, gate: GateOp, targets: tuple[int, ...] | None = None) -> "PureState":
+        """``gate`` on its own targets, or on ``targets`` (register positions)
+        when given. CZ flips signs in place; other gates go through
+        ``apply_matrix``."""
+        targets = gate.targets if targets is None else targets
+        if gate.kind == "CZ":
+            return self.apply_cz(targets)
+        return self.apply_matrix(gate.matrix(), targets)
 
     def apply_pauli(self, pauli: str) -> "PureState":
         _check_pauli_string(pauli, self.n)
@@ -300,13 +394,28 @@ class PureState:
 
         For a batch, ``prob`` holds one probability per member (see ``_outcomes``).
         """
-        axes = (len(self.batch) + qubit,)
+        split = self._split(qubit)
         branches = []
         for outcome, p, divisor in _outcomes(self.probabilities_z(qubit)):
-            t = _zero_other(self._tensor().copy(), axes, outcome)
-            amps = t.reshape(self.amplitudes.shape) / np.sqrt(divisor)[..., None]
+            amps = np.zeros(split.shape, dtype=complex)
+            amps[..., outcome, :] = split[..., outcome, :] / np.sqrt(divisor)[..., None, None]
+            amps = amps.reshape(self.amplitudes.shape)
             branches.append((outcome, PureState(amps, validate=False), p))
         return branches
+
+    def collapse_z(self, qubit: int, members, outcomes, probs: np.ndarray) -> "PureState":
+        """A new batch: member ``members[i]`` of this one-axis batch collapsed
+        onto Z outcome ``outcomes[i]`` of ``qubit``, which is removed.
+
+        Each is the outcome's block divided by the square root of its
+        probability in ``probs`` (from ``probabilities_z``; 1 below
+        ``ZERO_PROB``), bit for bit ``branch_z`` then ``remove_collapsed``.
+        """
+        self._check_qubit(qubit)
+        members, outcomes = np.asarray(members, dtype=np.intp), np.asarray(outcomes, dtype=np.intp)
+        amps = self._split(qubit)[members, :, outcomes]  # (children, 2^qubit, rest)
+        amps /= np.sqrt(_divisors(probs, members, outcomes))[:, None, None]
+        return PureState(amps.reshape(len(members), -1), validate=False)
 
     def remove_collapsed(self, qubit: int, outcome: int) -> "PureState":
         """Drop a qubit whose state has collapsed to |outcome>."""
@@ -378,8 +487,20 @@ class DensityState:
         if not 0 <= qubit < self.n:
             raise ValueError(f"qubit {qubit} out of range for {self.n} qubits")
 
+    def _split(self, qubit: int) -> np.ndarray:
+        """The matrix as (batch..., 2^qubit, 2, rest, 2^qubit, 2, rest), with
+        ``qubit``'s row and column axes in the middle of each side."""
+        side = (2**qubit, 2, 2 ** (self.n - 1 - qubit))
+        return self.matrix.reshape(self.batch + side + side)
+
     def prepare_input(self, qubit: int, inp: InputState) -> "DensityState":
+        """Load an input superposition onto a qubit currently in |0> in every
+        member; only the diagonal is read to check that."""
         self._check_qubit(qubit)
+        diag = np.diagonal(self.matrix, axis1=-2, axis2=-1).real
+        excited = diag.reshape(self.batch + (2**qubit, 2, -1))[..., 1, :].sum(axis=(-2, -1))
+        if np.any(excited > 1e-9):
+            raise ValueError("prepare_input target must be in |0>")
         a = inp.amplitudes()
         u = np.array([[a[0], -a[1].conj()], [a[1], a[0].conj()]], dtype=complex)
         return self.apply_matrix(u, (qubit,))
@@ -387,14 +508,37 @@ class DensityState:
     def apply_matrix(self, u: np.ndarray, targets: tuple[int, ...]) -> "DensityState":
         for q in targets:
             self._check_qubit(q)
+        if len(targets) == 1:
+            r = 2 ** (self.n - 1 - targets[0])
+            m = _apply_axis(self.matrix, u, r * 2**self.n)
+            self.matrix = _apply_axis(m, u.conj(), r)
+            return self
         lead = len(self.batch)
-        t = _apply_to_axes(self._tensor(), u, tuple(lead + q for q in targets))
-        t = _apply_to_axes(t, u.conj(), tuple(lead + self.n + q for q in targets))
+        t = _contract(self._tensor(), u, tuple(lead + q for q in targets))
+        t = _contract(t, u.conj(), tuple(lead + self.n + q for q in targets))
         self.matrix = t.reshape(self.matrix.shape)
         return self
 
-    def apply_gate(self, gate: GateOp) -> "DensityState":
-        return self.apply_matrix(gate.matrix(), gate.targets)
+    def apply_cz(self, targets: tuple[int, ...]) -> "DensityState":
+        """CZ in place: negate the entries where exactly one of the row and
+        column indices has both target bits set (the rows' flips, then the
+        columns', so entries with both are flipped back)."""
+        a, b = _cz_targets(self, targets)
+        self.matrix = _writable(self.matrix)
+        t = self._tensor()
+        lead, n = len(self.batch), self.n
+        _negate(t, (lead + a, lead + b))
+        _negate(t, (lead + n + a, lead + n + b))
+        return self
+
+    def apply_gate(self, gate: GateOp, targets: tuple[int, ...] | None = None) -> "DensityState":
+        """``gate`` on its own targets, or on ``targets`` (register positions)
+        when given. CZ flips signs in place; other gates go through
+        ``apply_matrix``."""
+        targets = gate.targets if targets is None else targets
+        if gate.kind == "CZ":
+            return self.apply_cz(targets)
+        return self.apply_matrix(gate.matrix(), targets)
 
     def probabilities_z(self, qubit: int) -> np.ndarray:
         self._check_qubit(qubit)
@@ -414,14 +558,32 @@ class DensityState:
 
         For a batch, ``prob`` holds one probability per member (see ``_outcomes``).
         """
-        lead = len(self.batch)
-        axes = (lead + qubit, lead + self.n + qubit)
+        split = self._split(qubit)
         branches = []
         for outcome, p, divisor in _outcomes(self.probabilities_z(qubit)):
-            t = _zero_other(self._tensor().copy(), axes, outcome)
-            post = t.reshape(self.matrix.shape) / np.asarray(divisor)[..., None, None]
+            block = (..., outcome, slice(None), slice(None), outcome, slice(None))
+            post = np.zeros(split.shape, dtype=complex)
+            post[block] = split[block] / np.asarray(divisor)[..., None, None, None, None]
+            post = post.reshape(self.matrix.shape)
             branches.append((outcome, DensityState(post, validate=False), p))
         return branches
+
+    def collapse_z(self, qubit: int, members, outcomes, probs: np.ndarray) -> "DensityState":
+        """A new batch: member ``members[i]`` of this one-axis batch collapsed
+        onto Z outcome ``outcomes[i]`` of ``qubit``, which is traced out.
+
+        Each is the outcome's (o, o) block divided by its probability in
+        ``probs`` (from ``probabilities_z``; 1 below ``ZERO_PROB``), bit for
+        bit ``branch_z`` then ``discard_qubits``.
+        """
+        self._check_qubit(qubit)
+        members, outcomes = np.asarray(members, dtype=np.intp), np.asarray(outcomes, dtype=np.intp)
+        # (children, 2^qubit, rest, 2^qubit, rest)
+        block = self._split(qubit)[members, :, outcomes, :, :, outcomes, :]
+        block /= _divisors(probs, members, outcomes)[:, None, None, None, None]
+        block += 0.0  # the partial trace adds the zeroed block: a -0 entry reads +0
+        dim = 2 ** (self.n - 1)
+        return DensityState(block.reshape(len(members), dim, dim), validate=False)
 
     def discard_qubits(self, qubits) -> "DensityState":
         """Partial trace over the listed qubits; returns a new state."""
@@ -440,12 +602,11 @@ class DensityState:
 
     def expectation(self, pauli: str) -> float:
         _check_pauli_string(pauli, self.n)
-        t = self._tensor()
+        m = self.matrix
         for q, letter in enumerate(pauli):
             if letter != "I":
-                t = _apply_to_axes(t, PAULI_MATRICES[letter], (q,))
-        dim = 2**self.n
-        return float(np.trace(t.reshape(dim, dim)).real)
+                m = _apply_axis(m, PAULI_MATRICES[letter], 2 ** (2 * self.n - 1 - q))
+        return float(np.trace(m).real)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

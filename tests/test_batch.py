@@ -1,11 +1,22 @@
-"""Batched kernels: a batch of k states gets exactly the bits of k single calls."""
+"""State kernels: a batch of k states gets exactly the bits of k single calls, and
+each copy-free kernel gets the bits of the contraction or copies it replaced."""
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from fanout_sim.noise import apply_depolarizing
-from fanout_sim.states import DensityState, InputState, PureState
+from fanout_sim.states import (
+    ZERO_PROB,
+    GateOp,
+    DensityState,
+    InputState,
+    PureState,
+    _apply_axis,
+    gate_matrix,
+)
+from fanout_sim.tomography import BASIS_ROTATIONS
 
 K = 5
 TARGETS = {
@@ -31,6 +42,222 @@ def random_unitary(rng, k):
     a = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
     q, _ = np.linalg.qr(a)
     return q
+
+
+def reference_apply_to_axes(tensor, u, axes):
+    """The tensordot contraction every gate took before the axis kernel."""
+    k = len(axes)
+    u_t = u.reshape((2,) * (2 * k))
+    out = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
+
+
+def assert_same_bits(actual, expected):
+    """Equal values and equal bytes, so signed zeros match too."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def with_zeros(rng, array):
+    """``array`` with about a fifth of its entries set to +0 or -0."""
+    array = array.copy()
+    hit = rng.random(array.shape) < 0.2
+    array[hit] = 0.0
+    array[hit & (rng.random(array.shape) < 0.5)] = complex(-0.0, -0.0)
+    return array
+
+
+def _input_pulse(theta, phi):
+    a = InputState(theta, phi).amplitudes()
+    return np.array([[a[0], -a[1].conj()], [a[1], a[0].conj()]], dtype=complex)
+
+
+#: Every 2x2 matrix the package applies, an off-grid input pulse and a random unitary.
+ONE_QUBIT_MATRICES = {
+    "H": gate_matrix("H"),
+    "X": gate_matrix("X"),
+    "Z": gate_matrix("Z"),
+    **{f"{kind}({angle:+.2f})": gate_matrix(kind, angle)
+       for kind in ("RX", "RY", "RZ")
+       for angle in (math.pi / 2, -math.pi / 2, math.pi, -math.pi)},
+    "input(1.1,0.4)": _input_pulse(1.1, 0.4),
+    **{f"basis-{letter}": u for letter, u in BASIS_ROTATIONS.items()},
+    "random": random_unitary(np.random.default_rng(12), 1),
+}
+BATCHES = {"unbatched": (), "batch-1": (1,), "batch-3": (3,), "batch-4": (4,)}
+
+
+@pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_axis_kernel_matches_tensordot(n, kind, batch):
+    """Every axis position, so every trailing size from 1 up, and the
+    layouts too small for a view, which keep the contraction."""
+    rng = np.random.default_rng(100 * n + len(batch))
+    qubit_axes = n if kind == "pure" else 2 * n
+    shape = batch + (2,) * qubit_axes
+    array = with_zeros(rng, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    flat = array.reshape(batch + ((2**n,) if kind == "pure" else (2**n, 2**n)))
+    for name, u in ONE_QUBIT_MATRICES.items():
+        for axis in range(qubit_axes):
+            expected = reference_apply_to_axes(array, u, (len(batch) + axis,)).reshape(flat.shape)
+            assert_same_bits(_apply_axis(flat, u, 2 ** (qubit_axes - 1 - axis)), expected)
+        for q in range(n):  # through the state classes, both sides of a density matrix
+            lead = len(batch)
+            if kind == "pure":
+                state = PureState(flat.copy(), validate=False).apply_matrix(u, (q,))
+                expected = reference_apply_to_axes(array, u, (lead + q,))
+                assert_same_bits(state.amplitudes, expected.reshape(flat.shape))
+            else:
+                state = DensityState(flat.copy(), validate=False).apply_matrix(u, (q,))
+                t = reference_apply_to_axes(array, u, (lead + q,))
+                t = reference_apply_to_axes(t, u.conj(), (lead + n + q,))
+                assert_same_bits(state.matrix, t.reshape(flat.shape))
+
+
+def test_axis_kernel_ignores_gate_memory_order():
+    rng = np.random.default_rng(13)
+    m = random_density(rng, 1, 3)[0]
+    u = random_unitary(rng, 1)
+    expected = DensityState(m.copy(), validate=False).apply_matrix(u, (1,)).matrix
+    read_only = u.copy()
+    read_only.flags.writeable = False
+    for gate in (np.asfortranarray(u), read_only):
+        state = DensityState(m.copy(), validate=False).apply_matrix(gate, (1,))
+        assert_same_bits(state.matrix, expected)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "batch-3"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cz_sign_flips_match_contraction(n, batch):
+    """Every ordered target pair, against the 4x4 contraction on each side.
+    The contraction can turn a -0 entry into +0, so values are compared."""
+    rng = np.random.default_rng(20 + n)
+    cz = gate_matrix("CZ")
+    k = batch[0] if batch else 1
+    pure = with_zeros(rng, random_pure(rng, k, n)).reshape(batch + (2**n,))
+    dense = with_zeros(rng, random_density(rng, k, n)).reshape(batch + (2**n, 2**n))
+    lead = len(batch)
+    for a, b in permutations(range(n), 2):
+        state = PureState(pure.copy(), validate=False).apply_cz((a, b))
+        t = reference_apply_to_axes(pure.reshape(batch + (2,) * n), cz, (lead + a, lead + b))
+        assert np.array_equal(state.amplitudes, t.reshape(pure.shape))
+        state = DensityState(dense.copy(), validate=False).apply_cz((a, b))
+        t = dense.reshape(batch + (2,) * (2 * n))
+        t = reference_apply_to_axes(t, cz, (lead + a, lead + b))
+        t = reference_apply_to_axes(t, cz, (lead + n + a, lead + n + b))
+        assert np.array_equal(state.matrix, t.reshape(dense.shape))
+        via_gate = DensityState(dense.copy(), validate=False).apply_gate(GateOp("CZ", (a, b)))
+        assert_same_bits(via_gate.matrix, state.matrix)
+
+
+def test_cz_rejects_equal_targets():
+    with pytest.raises(ValueError, match="distinct"):
+        DensityState.zeros(2).apply_cz((1, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        PureState.zeros(2).apply_cz((0, 2))
+
+
+@pytest.mark.parametrize("make", [PureState, DensityState], ids=["pure", "density"])
+def test_cz_in_place_leaves_copy_untouched(make):
+    rng = np.random.default_rng(14)
+    array = random_pure(rng, 1, 3)[0] if make is PureState else random_density(rng, 1, 3)[0]
+    state = make(array, validate=False)
+    saved = state.copy()
+    before = array.copy()
+    state.apply_cz((0, 2))
+    saved_array = saved.amplitudes if make is PureState else saved.matrix
+    assert np.array_equal(saved_array, before)
+    assert not np.array_equal(state.amplitudes if make is PureState else state.matrix, before)
+
+
+@pytest.mark.parametrize("make", [PureState, DensityState], ids=["pure", "density"])
+def test_cz_accepts_non_contiguous_and_read_only_arrays(make):
+    rng = np.random.default_rng(15)
+    if make is PureState:
+        array = random_pure(rng, 1, 3)[0]
+        non_contiguous = np.empty(2 * array.size, dtype=complex)[::2]
+        non_contiguous[:] = array
+    else:
+        array = random_density(rng, 1, 3)[0]
+        non_contiguous = np.ascontiguousarray(array.T).T  # the same values, Fortran order
+    expected = make(array.copy(), validate=False).apply_cz((1, 2))
+    expected = expected.amplitudes if make is PureState else expected.matrix
+    read_only = array.copy()
+    read_only.flags.writeable = False
+    for source in (non_contiguous, read_only):
+        state = make(source, validate=False).apply_cz((1, 2))
+        assert_same_bits(state.amplitudes if make is PureState else state.matrix, expected)
+    assert np.array_equal(read_only, array)
+
+
+def _collapse_inputs(rng, make):
+    """K members with signed zeros, one pure |0000> member (outcome 1 has
+    probability 0) and one whose outcome 1 has probability 1e-16."""
+    if make is PureState:
+        array = with_zeros(rng, random_pure(rng, K, 4))
+        array[1] = 0.0
+        array[1, 0] = 1.0
+        array[3] = 0.0
+        array[3, 0] = math.sqrt(1.0 - 1e-16)
+        array[3, -1] = 1e-8
+    else:
+        array = with_zeros(rng, random_density(rng, K, 4))
+        array[1] = 0.0
+        array[1, 0, 0] = 1.0
+        array[3] = 0.0
+        array[3, 0, 0] = 1.0 - 1e-16
+        array[3, -1, -1] = 1e-16
+    return array
+
+
+@pytest.mark.parametrize("qubit", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [PureState, DensityState], ids=["pure", "density"])
+def test_collapse_matches_branch_then_reduce(make, qubit):
+    """Every (member, outcome) pair, in a shuffled order, against
+    ``branch_z`` then ``remove_collapsed`` or ``discard_qubits``; a
+    member below ``ZERO_PROB`` stays unnormalized in both."""
+    rng = np.random.default_rng(16 + qubit)
+    state = make(_collapse_inputs(rng, make), validate=False)
+    probs = state.probabilities_z(qubit)
+    assert probs[1, 1] == 0.0 and 0.0 < probs[3, 1] < ZERO_PROB
+    members = np.repeat(np.arange(K), 2)
+    outcomes = np.tile([0, 1], K)
+    order = rng.permutation(members.size)
+    members, outcomes = members[order].tolist(), outcomes[order].tolist()
+    children = state.collapse_z(qubit, members, outcomes, probs)
+    branches = {outcome: post for outcome, post, _ in state.branch_z(qubit)}
+    for i, (member, outcome) in enumerate(zip(members, outcomes)):
+        post = branches[outcome]
+        if make is PureState:
+            single = PureState(post.amplitudes[member].copy(), validate=False)
+            expected = single.remove_collapsed(qubit, outcome).amplitudes
+            assert_same_bits(children.amplitudes[i], expected)
+        else:
+            single = DensityState(post.matrix[member], validate=False)
+            assert_same_bits(children.matrix[i], single.discard_qubits((qubit,)).matrix)
+
+
+def test_collapse_keeps_no_children():
+    state = DensityState(random_density(np.random.default_rng(17), 2, 3), validate=False)
+    children = state.collapse_z(1, [], [], state.probabilities_z(1))
+    assert children.batch == (0,) and children.n == 2
+
+
+def test_density_prepare_input_rejects_excited_target_in_any_member():
+    rng = np.random.default_rng(18)
+    m = np.zeros((3, 8, 8), dtype=complex)
+    m[:, 0, 0] = 1.0
+    excited = DensityState(random_density(rng, 1, 3)[0], validate=False)
+    m[2] = excited.matrix
+    with pytest.raises(ValueError, match=r"\|0>"):
+        DensityState(m.copy(), validate=False).prepare_input(1, InputState(1.0, 0.0))
+    # Population up to 1e-9 on |1> is accepted, as PureState's norm check accepts it.
+    m[2] = 0.0
+    m[2, 0, 0] = 1.0 - 1e-10
+    m[2, 2, 2] = 1e-10  # qubit 1 of |010>
+    DensityState(m, validate=False).prepare_input(1, InputState(1.0, 0.0))
 
 
 def reference_depolarizing(matrix, targets, p):

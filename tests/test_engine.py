@@ -307,6 +307,22 @@ def test_unknown_operation_rejected(mode):
         run(circuit, noiseless(PLUS, mode=mode, seed=1))
 
 
+@pytest.mark.parametrize("noise", [None, NoiseModel.device_medians()], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("mode", ["exact", "trajectories"])
+def test_input_onto_excited_qubit_rejected(mode, noise):
+    """Noisy exact runs loaded the input onto |1> and reported a fidelity
+    of 0.25; every mode now refuses, as the noiseless ones did."""
+    layers = [
+        Layer(32.0, "prepare", [GateOp("X", (0,))]),
+        Layer(32.0, "prepare", [PrepareInputOp(0)]),
+        Layer(144.0, "entangle", [GateOp("CZ", (0, 1))]),
+    ]
+    circuit = Circuit("unitary", 2, QubitRegister(("q0", "q1")), layers, (0, 1))
+    config = RunConfig(input=PLUS, noise=noise, mode=mode, seed=1)
+    with pytest.raises(ValueError, match="PrepareInputOp|must be in"):
+        run(circuit, config)
+
+
 def assert_within_five_standard_errors(result, exact, inp, max_bound=None):
     """Fidelity, joint-X and every histogram bin of a trajectory run lie
     within 5 standard errors of the exact run.
