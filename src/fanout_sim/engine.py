@@ -17,10 +17,10 @@ exactly the bits a walk of its own would give.
 Trajectory mode samples the same model by Pauli frames, after the CHP
 tableau (Aaronson & Gottesman, arXiv:quant-ph/0406196) and Stim's frame
 sampler (Gidney, arXiv:2103.02202). Every operation after the input pulse
-is Clifford and all noise is Pauli, so a shot is one noiseless reference
-statevector times a Pauli frame. A run computes the reference once and
-carries the frames of all shots as boolean arrays, which each gate, sampled
-error, readout flip and recovery (physical for feedforward, a recorded
+is Clifford and all noise is Pauli, so a shot is its noiseless output (a
+known Pauli on the ideal state) times a Pauli frame. A run carries the
+frames of all shots as boolean arrays, which each gate, sampled error,
+readout flip and recovery (physical for feedforward, a recorded
 ``PauliFrame`` for frame update) updates in one vectorized step.
 """
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .circuits import (
     Operation,
     PrepareInputOp,
     RecoverOp,
+    build_circuit,
     idle_events,
 )
 from .feedforward import PauliFrame, recovery_indices
@@ -66,7 +67,8 @@ BRANCH_PRUNE = 1e-12
 #: Exact density-matrix simulation is limited to this many qubits.
 DENSITY_QUBIT_CEILING = 12
 
-#: Statevector paths (noiseless exact, trajectories) get a looser cap.
+#: Noiseless exact runs get a looser cap on qubits, trajectory runs the same
+#: cap on outputs (each shot keeps a statevector of the outputs only).
 PURE_QUBIT_CEILING = 20
 
 _HALF_PI = math.pi / 2.0
@@ -336,41 +338,29 @@ def _recover(state, groups, q: int, p: float | None) -> None:
 
 
 def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
-    """Monte-Carlo unraveling by Pauli-frame sampling.
+    """Monte-Carlo unraveling by Pauli-frame sampling of a circuit that
+    ``build_circuit`` makes (any other raises ValueError).
 
-    One noiseless reference statevector of the whole register (measurements
-    deferred, which is valid because no operation follows a measurement on
-    its qubit) gives every shot's reference outcome and output slice. Each
-    shot then carries a Pauli frame; the frames of all shots are boolean
-    arrays of shape (shots, qubits) that each gate, noise site, readout and
-    recovery of the walk updates in one vectorized step.
+    Its noiseless outcome m is uniform whatever the input and leaves R(m)|t>
+    on the outputs (R(m) the recovery Pauli of m, |t> the ideal state). So
+    each shot draws m uniformly and carries a Pauli frame, and its state is
+    its output frame times R(m) on |t>. The frames of all shots are boolean
+    arrays of shape (shots, qubits) that each step of the walk updates at once.
     """
     if config.mode != "trajectories":
         raise ValueError("run_trajectory requires trajectory mode")
-    if circuit.qubit_count > PURE_QUBIT_CEILING:
+    n_out = circuit.n_outputs
+    if n_out > PURE_QUBIT_CEILING:
         raise CeilingError(
-            f"{circuit.qubit_count} qubits exceed the "
-            f"{PURE_QUBIT_CEILING}-qubit statevector ceiling"
+            f"{n_out} outputs exceed the {PURE_QUBIT_CEILING}-output trajectory ceiling"
         )
-    shots, count = config.shots, circuit.qubit_count
+    _check_built(circuit)
+    shots, width = config.shots, circuit.measure_count
     rng = np.random.default_rng(config.seed)
-    measured = [op.qubit for op in circuit.measurements()]
-    outputs = list(circuit.outputs)
-    # A view of the reference with the measured qubits' axes first; the
-    # reductions below make no full-size temporaries.
-    tensor = _reference(circuit, config.input).amplitudes.reshape((2,) * count)
-    tensor = np.transpose(tensor, measured + outputs)
-    axes, kept = list(range(count)), list(range(len(measured)))
-    probs = np.einsum(tensor.real, axes, tensor.real, axes, kept)
-    probs = (probs + np.einsum(tensor.imag, axes, tensor.imag, axes, kept)).reshape(-1)
-    cdf = np.cumsum(probs)  # inverse-CDF draw of each shot's reference outcome
-    ref = np.searchsorted(cdf, rng.random(shots) * cdf[-1], side="right")
-    ref = np.minimum(ref, probs.size - 1)
-    ref_bits = (ref[:, None] >> np.arange(len(measured) - 1, -1, -1)) & 1  # measured order
-    column = {qubit: j for j, qubit in enumerate(measured)}
-    x = np.zeros((shots, count), dtype=bool)
-    z = np.zeros((shots, count), dtype=bool)
-    reported = np.zeros((shots, len(measured)), dtype=bool)  # columns z1 x1 z2 x2 ...
+    ref = rng.integers(0, 2, size=(shots, width), dtype=bool)  # columns z1 x1 z2 x2 ...
+    x = np.zeros((shots, circuit.qubit_count), dtype=bool)
+    z = np.zeros_like(x)
+    reported = np.zeros_like(ref)
     marks = None  # recovery indices recorded by a FrameMarkOp
 
     for op, _, arg in _walk(circuit, config):
@@ -379,23 +369,24 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
         elif isinstance(op, GateOp):
             _conjugate(x, z, op)
         elif isinstance(op, MeasureOp):
-            bits = ref_bits[:, column[op.qubit]] ^ x[:, op.qubit]
+            bits = ref[:, op.column] ^ x[:, op.qubit]
             reported[:, op.column] = noisy_readouts(bits, arg, rng)
         elif isinstance(op, RecoverOp):
             _recover_frames(x, z, _recovery_groups(reported, op), op.qubit, arg, rng)
         elif isinstance(op, FrameMarkOp) and op.output_index == 1:
             marks = recovery_indices(reported[:, 0::2], reported[:, 1::2])
 
-    n_out = circuit.n_outputs
-    # Each shot's output slice; the leading zero index also serves a circuit
-    # without measurements.
-    slices = tensor[None][(np.zeros(shots, dtype=np.intp), *ref_bits.T)].reshape(shots, -1)
-    slices /= np.sqrt(probs[ref])[:, None]
-    states = _apply_paulis(slices, _masks(x[:, outputs]), _masks(z[:, outputs]))
+    # R(m) acts on |t> at the end of the circuit, so it joins the output
+    # frames after the walk; without measurements it is the identity.
+    outputs = list(circuit.outputs)
+    index = recovery_indices(ref[:, 0::2], ref[:, 1::2])
+    x_masks = _masks(x[:, outputs]) ^ _masks(index & 1)
+    z_masks = _masks(z[:, outputs]) ^ _masks(index >> 1)
+    states = _apply_paulis(target_state(config.input, n_out).amplitudes, x_masks, z_masks)
     # Shots with equal bits share one key string and one (frozen) PauliFrame.
     codes = _masks(reported).tolist()
     counts = Counter(codes)
-    keys = _keys(counts, len(measured))
+    keys = _keys(counts, width)
     if marks is None:
         frame_codes, frames = [0] * shots, {0: PauliFrame.identity(n_out)}
     else:
@@ -418,24 +409,28 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     )
 
 
-def _reference(circuit: Circuit, inp: InputState) -> PureState:
-    """The noiseless state of the whole register with every measurement
-    deferred; rejects a circuit that Pauli frames cannot follow."""
-    state = PureState.zeros(circuit.qubit_count)
+def _check_built(circuit: Circuit) -> None:
+    """Reject a circuit that trajectory mode cannot sample.
+
+    Frames follow only Clifford gates after an input pulse that comes first
+    on its qubit, and the sampler's outcome law and output states hold for
+    the circuits ``build_circuit`` makes, so any other circuit is refused.
+    """
     touched: set[int] = set()
     for op in circuit.operations():
-        if isinstance(op, PrepareInputOp):
-            if op.qubit in touched:
-                raise ValueError(
-                    f"trajectory mode needs {op} to be the first operation on its qubit"
-                )
-            state.prepare_input(op.qubit, inp)
-        elif isinstance(op, GateOp):
-            if op.angle is not None:
-                _quarter_turns(op)
-            state.apply_gate(op)
+        if not isinstance(op, Operation):
+            raise TypeError(f"unexpected operation {op!r}")
+        if isinstance(op, PrepareInputOp) and op.qubit in touched:
+            raise ValueError(f"trajectory mode needs {op} to be the first operation on its qubit")
+        if isinstance(op, GateOp) and op.angle is not None:
+            _quarter_turns(op)
         touched.update(op.targets if isinstance(op, GateOp) else (op.qubit,))
-    return state
+    n = circuit.n_outputs
+    if n < 2 or circuit != build_circuit(circuit.family, n, circuit.timing):
+        raise ValueError(
+            "trajectory mode samples only circuits equal to "
+            "build_circuit(family, n_outputs, timing); use exact mode"
+        )
 
 
 def _quarter_turns(gate: GateOp) -> int:
@@ -499,8 +494,8 @@ def _recover_frames(x, z, groups, qubit: int, p: float | None, rng) -> None:
 
 
 def _apply_paulis(amps: np.ndarray, x_masks: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
-    """X^x Z^z applied to each row of ``amps``; a mask's bits select qubits in
-    basis-index order (qubit 0 is the most significant bit)."""
+    """X^x Z^z applied to ``amps`` (one state, or one row per mask); a mask's
+    bits select qubits in basis-index order (qubit 0 most significant)."""
     index = np.arange(amps.shape[-1])
     signed = np.where(np.bitwise_count(index & z_masks[:, None]) & 1, -amps, amps)
     return np.take_along_axis(signed, index ^ x_masks[:, None], axis=1)

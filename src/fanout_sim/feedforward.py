@@ -40,13 +40,6 @@ class BellOutcome:
         """Interleaved bit key z1 x1 z2 x2 ..."""
         return "".join(f"{z}{x}" for z, x in zip(self.z, self.x))
 
-    @classmethod
-    def from_key(cls, key: str) -> "BellOutcome":
-        if len(key) % 2 or set(key) - {"0", "1"}:
-            raise ValueError(f"malformed outcome key {key!r}")
-        bits = [int(c) for c in key]
-        return cls(z=tuple(bits[0::2]), x=tuple(bits[1::2]))
-
 
 @dataclass(frozen=True)
 class RecoveryOp:

@@ -100,9 +100,9 @@ class NoiseModel:
 
     ``two_qubit_depol`` and ``single_qubit_depol`` are depolarizing channel
     probabilities; the defaults convert the median benchmarking errors via
-    ``depol_from_average_error``. ``idle_law`` maps an idle duration in
-    seconds to an error probability; when None the exponential law at
-    ``t2_echo`` is used. The functional form is configurable because only
+    ``depol_from_average_error``. ``idle_law`` names the law in
+    ``IDLE_LAWS`` that maps an idle duration in seconds, at ``t2_echo``, to
+    an error probability. The functional form is configurable because only
     the rate and duration are pinned by the device characterization.
     """
 
@@ -110,7 +110,7 @@ class NoiseModel:
     single_qubit_depol: float = depol_from_average_error(MEDIAN_EPS_1Q, 1)
     confusion: ConfusionMatrix = field(default_factory=lambda: ConfusionMatrix(0.006, 0.006))
     t2_echo: float = 48e-6
-    idle_law: Callable[[float], float] | None = None
+    idle_law: str = "exponential"
     confusion_overrides: dict[int, ConfusionMatrix] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -122,6 +122,8 @@ class NoiseModel:
                 raise ValueError(f"{name}={p} outside [0, 1]")
         if not self.t2_echo > 0.0:
             raise ValueError("t2_echo must be positive")
+        if self.idle_law not in IDLE_LAWS:
+            raise ValueError(f"unknown idle law {self.idle_law!r}")
 
     @classmethod
     def device_medians(cls) -> "NoiseModel":
@@ -129,8 +131,7 @@ class NoiseModel:
         return cls()
 
     def idle_probability(self, duration_s: float) -> float:
-        law = self.idle_law or idle_law_exponential(self.t2_echo)
-        p = law(duration_s)
+        p = IDLE_LAWS[self.idle_law](self.t2_echo)(duration_s)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"idle law returned {p}, outside [0, 1]")
         return p
@@ -163,9 +164,6 @@ class NoiseModel:
             raise ValueError("give eps_2q or two_qubit_depol, not both")
         if "eps_1q" in values and "single_qubit_depol" in values:
             raise ValueError("give eps_1q or single_qubit_depol, not both")
-        law_name = str(values.get("idle_law", "exponential"))
-        if law_name not in IDLE_LAWS:
-            raise ValueError(f"unknown idle law {law_name!r}")
         t2 = float(values.get("t2_echo_s", 48e-6))
         if "two_qubit_depol" in values:
             p2 = float(values["two_qubit_depol"])
@@ -183,7 +181,7 @@ class NoiseModel:
                 p10=float(values.get("readout_p10", 0.006)),
             ),
             t2_echo=t2,
-            idle_law=IDLE_LAWS[law_name](t2),
+            idle_law=str(values.get("idle_law", "exponential")),
         )
 
 

@@ -117,6 +117,11 @@ class TestSimulateCommand:
         assert float(rows[0]["fidelity"]) == pytest.approx(1.0, abs=1e-9)
         assert float(rows[0]["duration_ns"]) == 560.0
 
+    def test_trajectories_beyond_the_register_ceiling(self, tmp_path):
+        """n = 8 is a 22-qubit register; trajectory mode caps only the outputs."""
+        args = ["simulate", "--mode", "trajectories", "--n", "8", "--shots", "50"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         args = [
             "simulate", "--family", "feedforward", "--n", "2", "--input", "+",
@@ -286,12 +291,14 @@ class TestErrorBoundary:
             ["simulate", "--n", "1", "--noise", "none"],
             ["simulate", "--n", "5", "--noise", "default"],
             ["simulate", "--n", "2", "--mode", "trajectories", "--shots", "0"],
+            ["simulate", "--family", "unitary", "--n", "21", "--mode", "trajectories"],
             ["simulate", "--n", "2", "--input", "theta=9"],
             ["sweep", "--n", "2", "--sweep", "theta", "--phi", "7", "--noise", "none"],
             ["tomo", "--n", "5", "--noise", "default"],
             ["model", "--rates", "mu=-1"],
         ],
-        ids=["n1", "exact-ceiling", "zero-shots", "theta", "phi", "tomo-ceiling", "rates"],
+        ids=["n1", "exact-ceiling", "zero-shots", "trajectory-ceiling", "theta", "phi",
+             "tomo-ceiling", "rates"],
     )
     def test_bad_configuration_exits_2(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path)]) == 2

@@ -32,12 +32,14 @@ from fanout_sim.engine import (
     run_trajectory,
     serialize_run_result,
 )
+from fanout_sim.feedforward import recovery_indices
 from fanout_sim.noise import ConfusionMatrix, NoiseModel
 from fanout_sim.states import (
     PAULI_MATRICES,
     DensityState,
     GateOp,
     InputState,
+    PureState,
     QubitRegister,
     gate_matrix,
 )
@@ -293,6 +295,82 @@ class TestRunTrajectory:
         circuit = _one_qubit_circuit(GateOp("H", (0,)), PrepareInputOp(0))
         with pytest.raises(ValueError, match="PrepareInputOp"):
             run_trajectory(circuit, noiseless(PLUS, mode="trajectories", shots=8, seed=1))
+
+    def test_circuit_not_built_by_build_circuit_rejected(self):
+        """A hand-built Clifford circuit passes the gate checks, but the
+        sampler's outcome law and output states hold only for built ones."""
+        circuit = _one_qubit_circuit(PrepareInputOp(0), GateOp("H", (0,)))
+        with pytest.raises(ValueError, match="build_circuit"):
+            run_trajectory(circuit, noiseless(PLUS, mode="trajectories", shots=8, seed=1))
+        # Exact mode still runs it: H maps |+> to |0>.
+        result = run_exact(circuit, noiseless(PLUS))
+        assert output_fidelity(result, InputState(0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_constant_depth_beyond_the_register_ceiling(self):
+        """n = 8 is 22 qubits, more than a statevector of the register allows;
+        the sampler keeps only 2^8 amplitudes per shot."""
+        circuit = build_constant_depth(8)
+        assert circuit.qubit_count == 22
+        inp = InputState(2.2, 4.0)
+        result = run_trajectory(circuit, noiseless(inp, mode="trajectories", shots=32, seed=4))
+        for record in result.records:
+            shot = dataclasses.replace(result, records=[record], shots=1)
+            assert output_fidelity(shot, inp) >= 1.0 - 1e-9
+
+
+#: Inputs of the premise check: both poles and two points off the grid.
+PREMISE_INPUTS = {
+    "0": InputState(0.0, 0.0),
+    "1": InputState(math.pi, 0.0),
+    "theta=1.0,phi=0.5": InputState(1.0, 0.5),
+    "theta=2.2,phi=4.0": InputState(2.2, 4.0),
+}
+
+
+def _deferred_statevector(circuit, inp) -> PureState:
+    """The noiseless state of the whole register with every measurement
+    deferred: the reference that trajectory mode no longer builds."""
+    state = PureState.zeros(circuit.qubit_count)
+    for op in circuit.operations():
+        if isinstance(op, PrepareInputOp):
+            state.prepare_input(op.qubit, inp)
+        elif isinstance(op, GateOp):
+            state.apply_gate(op)
+    return state
+
+
+def _bit_masks(bits) -> np.ndarray:
+    """Integer code of each row of bits, the first column most significant."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
+@pytest.mark.parametrize("label", list(PREMISE_INPUTS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_outcomes_are_uniform_and_leave_the_recovery_on_the_target(family, n, label):
+    """The premise of the frame sampler, against the deferred statevector:
+    every noiseless outcome m is equally likely whatever the input, and its
+    normalised output slice is R(m)|t> up to a global phase."""
+    inp = PREMISE_INPUTS[label]
+    circuit = build_circuit(family, n)
+    measured = sorted(circuit.measurements(), key=lambda op: op.column)
+    width = len(measured)
+    tensor = _deferred_statevector(circuit, inp).amplitudes.reshape((2,) * circuit.qubit_count)
+    order = [op.qubit for op in measured] + list(circuit.outputs)
+    slices = np.transpose(tensor, order).reshape(2**width, 2**n)
+    probs = np.sum(np.abs(slices) ** 2, axis=1)
+    np.testing.assert_allclose(probs, 2.0**-width, rtol=0, atol=1e-12)
+    slices = slices / np.sqrt(probs)[:, None]
+    # R(m) = X^x Z^z maps a|0...0> + b|1...1> to a|x> + (-1)^|z| b|~x>.
+    bits = (np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    index = recovery_indices(bits[:, 0::2], bits[:, 1::2])
+    x, z_parity = _bit_masks(index & 1), np.bitwise_count(_bit_masks(index >> 1)) & 1
+    a, b = inp.amplitudes()
+    rows = np.arange(2**width)
+    overlaps = (np.conj(a) * slices[rows, x]
+                + np.conj(b) * (-1.0) ** z_parity * slices[rows, x ^ (2**n - 1)])
+    np.testing.assert_allclose(np.abs(overlaps), 1.0, rtol=0, atol=1e-12)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -215,6 +215,16 @@ class TestNoiseModel:
         assert model.two_qubit_depol == pytest.approx(ref.two_qubit_depol)
         assert model.single_qubit_depol == pytest.approx(ref.single_qubit_depol)
 
+    def test_idle_law_is_a_law_name(self):
+        model = NoiseModel.from_mapping({"t2_echo_s": "20e-6", "idle_law": "linear"})
+        assert model.idle_law == "linear"
+        assert model.idle_probability(1e-6) == idle_law_linear(20e-6)(1e-6)
+        assert NoiseModel().idle_probability(1e-6) == idle_error_probability(1e-6, 48e-6)
+        with pytest.raises(ValueError, match="unknown idle law"):
+            NoiseModel(idle_law="cubic")
+        with pytest.raises(ValueError, match="unknown idle law"):
+            NoiseModel.from_mapping({"idle_law": "cubic"})
+
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             NoiseModel.from_mapping({"t1": "1.0"})
