@@ -21,7 +21,8 @@ is Clifford and all noise is Pauli, so a shot is its noiseless output (a
 known Pauli on the ideal state) times a Pauli frame. A run carries the
 frames of all shots as boolean arrays, which each gate, sampled error,
 readout flip and recovery (physical for feedforward, a recorded
-``PauliFrame`` for frame update) updates in one vectorized step.
+``PauliFrame`` for frame update) updates in one vectorized step. A shot
+keeps its output Pauli, never 2^n amplitudes; the metrics read its bits.
 """
 from __future__ import annotations
 
@@ -67,8 +68,7 @@ BRANCH_PRUNE = 1e-12
 #: Exact density-matrix simulation is limited to this many qubits.
 DENSITY_QUBIT_CEILING = 12
 
-#: Noiseless exact runs get a looser cap on qubits, trajectory runs the same
-#: cap on outputs (each shot keeps a statevector of the outputs only).
+#: Noiseless exact runs (a statevector per branch) get a looser cap on qubits.
 PURE_QUBIT_CEILING = 20
 
 _HALF_PI = math.pi / 2.0
@@ -99,11 +99,12 @@ class RunConfig:
 @dataclass
 class ShotRecord:
     """One trajectory: reported outcome key, recorded Pauli frame, and the
-    output state before that frame (the physical one up to a global phase)."""
+    output Pauli before that frame. The shot's state is ``pauli`` applied to
+    ``target_state`` of the run's input, up to a global phase."""
 
     outcome_key: str
     frame: PauliFrame
-    state: PureState
+    pauli: PauliFrame
 
 
 @dataclass
@@ -223,14 +224,22 @@ def _recovery_groups(reported: np.ndarray, op: RecoverOp | FrameMarkOp):
             yield value, rows
 
 
-def _masks(bits: np.ndarray) -> np.ndarray:
-    """Integer codes of boolean bit rows, the first column most significant."""
-    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+def _bit_strings(bits: np.ndarray) -> list[str]:
+    """Each row of 0/1 entries as a string, in column order. Strings of one
+    width sort as the integers they spell, at any width."""
+    rows, width = bits.shape
+    if not width:
+        return [""] * rows
+    chars = np.ascontiguousarray(bits, dtype=np.uint8) + np.uint8(ord("0"))
+    return [row.decode() for row in chars.view(f"S{width}").ravel().tolist()]
 
 
-def _keys(codes, width: int) -> dict[int, str]:
-    """Histogram key of each reported-bit code: its ``width`` bits, in order."""
-    return {code: format(code, f"0{width}b") if width else "" for code in codes}
+def _shared_frames(x: np.ndarray, z: np.ndarray) -> list[PauliFrame]:
+    """A ``PauliFrame`` per row of X and Z bits (0/1); equal rows share one."""
+    labels = _bit_strings(np.concatenate([x, z], axis=1))
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    frames = [PauliFrame(x[row].tolist(), z[row].tolist()) for row in first]
+    return [frames[i] for i in inverse]
 
 
 def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
@@ -250,8 +259,7 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
     single = (PureState if pure_mode else DensityState).zeros(circuit.qubit_count)
     state = type(single)(_members(single)[None], validate=False)  # a batch of one branch
     weights = [1.0]
-    width = circuit.measure_count
-    reported = np.zeros((1, width), dtype=bool)  # columns z1 x1 z2 x2 ...
+    reported = np.zeros((1, circuit.measure_count), dtype=bool)  # columns z1 x1 z2 x2 ...
 
     for op, pos, arg in _walk(circuit, config):
         if isinstance(op, _Noise):
@@ -267,18 +275,16 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
 
     # Sequential sums in branch order: a pairwise np.sum would move the low bits.
     total = sum(weights)
-    codes = _masks(reported).tolist()
-    keys = _keys(codes, width)
     dim = 2**circuit.n_outputs
     acc = np.zeros((dim, dim), dtype=complex)
-    histogram: dict[int, float] = {}
+    histogram: dict[str, float] = {}
     kept_pure: list[tuple[str, float, PureState]] = []
-    for code, weight, member in zip(codes, weights, _members(state)):
+    for key, weight, member in zip(_bit_strings(reported), weights, _members(state)):
         prob = weight / total
-        histogram[code] = histogram.get(code, 0.0) + prob
+        histogram[key] = histogram.get(key, 0.0) + prob
         if pure_mode:
             acc += prob * np.outer(member, member.conj())
-            kept_pure.append((keys[code], prob, PureState(member, validate=False)))
+            kept_pure.append((key, prob, PureState(member, validate=False)))
         else:
             acc += prob * member
     return RunResult(
@@ -286,7 +292,7 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
         n_outputs=circuit.n_outputs,
         duration_ns=circuit.duration_ns,
         output_state=DensityState(acc, validate=False),
-        histogram={keys[code]: histogram[code] for code in sorted(histogram)},
+        histogram={key: histogram[key] for key in sorted(histogram)},
         branches=kept_pure if pure_mode else None,
         input=config.input,
         pruned_mass=1.0 - total,
@@ -343,17 +349,14 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
 
     Its noiseless outcome m is uniform whatever the input and leaves R(m)|t>
     on the outputs (R(m) the recovery Pauli of m, |t> the ideal state). So
-    each shot draws m uniformly and carries a Pauli frame, and its state is
-    its output frame times R(m) on |t>. The frames of all shots are boolean
-    arrays of shape (shots, qubits) that each step of the walk updates at once.
+    each shot draws m uniformly and carries a Pauli frame, and its record
+    holds its output frame times R(m), the Pauli that takes |t> to its state.
+    The frames of all shots are boolean arrays of shape (shots, qubits) that
+    each step of the walk updates at once.
     """
     if config.mode != "trajectories":
         raise ValueError("run_trajectory requires trajectory mode")
     n_out = circuit.n_outputs
-    if n_out > PURE_QUBIT_CEILING:
-        raise CeilingError(
-            f"{n_out} outputs exceed the {PURE_QUBIT_CEILING}-output trajectory ceiling"
-        )
     _check_built(circuit)
     shots, width = config.shots, circuit.measure_count
     rng = np.random.default_rng(config.seed)
@@ -361,7 +364,7 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     x = np.zeros((shots, circuit.qubit_count), dtype=bool)
     z = np.zeros_like(x)
     reported = np.zeros_like(ref)
-    marks = None  # recovery indices recorded by a FrameMarkOp
+    marks = np.zeros((shots, n_out), dtype=int)  # recovery indices a FrameMarkOp records
 
     for op, _, arg in _walk(circuit, config):
         if isinstance(op, _Noise):
@@ -379,30 +382,21 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     # R(m) acts on |t> at the end of the circuit, so it joins the output
     # frames after the walk; without measurements it is the identity.
     outputs = list(circuit.outputs)
-    index = recovery_indices(ref[:, 0::2], ref[:, 1::2])
-    x_masks = _masks(x[:, outputs]) ^ _masks(index & 1)
-    z_masks = _masks(z[:, outputs]) ^ _masks(index >> 1)
-    states = _apply_paulis(target_state(config.input, n_out).amplitudes, x_masks, z_masks)
-    # Shots with equal bits share one key string and one (frozen) PauliFrame.
-    codes = _masks(reported).tolist()
-    counts = Counter(codes)
-    keys = _keys(counts, width)
-    if marks is None:
-        frame_codes, frames = [0] * shots, {0: PauliFrame.identity(n_out)}
-    else:
-        frame_codes = (marks @ 4 ** np.arange(n_out)).tolist()
-        rows = dict(zip(frame_codes, marks))
-        frames = {code: PauliFrame(row & 1, row >> 1) for code, row in rows.items()}
-    records = [
-        ShotRecord(keys[k], frames[f], PureState(state, validate=False))
-        for k, f, state in zip(codes, frame_codes, states)
-    ]
+    x, z = x[:, outputs], z[:, outputs]
+    if width:
+        index = recovery_indices(ref[:, 0::2], ref[:, 1::2])
+        x ^= (index & 1).astype(bool)
+        z ^= (index >> 1).astype(bool)
+    keys = _bit_strings(reported)
+    counts = Counter(keys)
+    frames = _shared_frames(marks & 1, marks >> 1)
+    records = [ShotRecord(*shot) for shot in zip(keys, frames, _shared_frames(x, z))]
     return RunResult(
         family=circuit.family,
         n_outputs=n_out,
         duration_ns=circuit.duration_ns,
         output_state=None,
-        histogram={keys[code]: counts[code] for code in sorted(counts)},
+        histogram={key: counts[key] for key in sorted(counts)},
         shots=shots,
         records=records,
         input=config.input,
@@ -493,47 +487,46 @@ def _recover_frames(x, z, groups, qubit: int, p: float | None, rng) -> None:
         x[rows], z[rows] = gx, gz
 
 
-def _apply_paulis(amps: np.ndarray, x_masks: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
-    """X^x Z^z applied to ``amps`` (one state, or one row per mask); a mask's
-    bits select qubits in basis-index order (qubit 0 most significant)."""
-    index = np.arange(amps.shape[-1])
-    signed = np.where(np.bitwise_count(index & z_masks[:, None]) & 1, -amps, amps)
-    return np.take_along_axis(signed, index ^ x_masks[:, None], axis=1)
-
-
 def run(circuit: Circuit, config: RunConfig) -> RunResult:
     if config.mode == "exact":
         return run_exact(circuit, config)
     return run_trajectory(circuit, config)
 
 
-def _framed_states(records: list[ShotRecord]) -> np.ndarray:
-    """Each shot's state with its Pauli frame applied, one row per shot."""
-    amps = np.stack([record.state.amplitudes for record in records])
-    x = np.array([record.frame.x_flips for record in records], dtype=bool)
-    z = np.array([record.frame.z_flips for record in records], dtype=bool)
-    return _apply_paulis(amps, _masks(x), _masks(z))
+def _framed_shots(result: RunResult):
+    """Each shot's Pauli P = X^x Z^z times its frame maps the input's
+    a|0...0> + b|1...1> to a|x> + s b|~x> up to a phase, with s = (-1)^|z|.
+    Returns per shot whether x is all 0, whether it is all 1, and s; and (a, b)."""
+    if result.input is None:
+        raise ValueError("a trajectory result needs its input to evaluate its shots")
+    records = result.records
+    x = np.array([r.pauli.x_flips for r in records], dtype=bool)
+    x ^= np.array([r.frame.x_flips for r in records], dtype=bool)
+    z_count = np.array([sum(r.pauli.z_flips) + sum(r.frame.z_flips) for r in records])
+    sign = np.where(z_count & 1, -1.0, 1.0)
+    return ~x.any(axis=1), x.all(axis=1), sign, result.input.amplitudes()
 
 
 def output_fidelity(result: RunResult, inp: InputState) -> float:
     """Uhlmann fidelity of the run output against the ideal fan-out state."""
-    target = target_state(inp, result.n_outputs)
     if result.is_exact:
         if result.output_state.n != result.n_outputs:
             raise ValueError("result state does not cover the output register")
-        return fidelity(result.output_state, target.to_density())
-    overlaps = _framed_states(result.records) @ target.amplitudes.conj()
+        return fidelity(result.output_state, target_state(inp, result.n_outputs).to_density())
+    # Overlap of a|x> + s b|~x> with a'|0...0> + b'|1...1>.
+    zeros, ones, sign, (a, b) = _framed_shots(result)
+    ca, cb = np.conj(inp.amplitudes())
+    overlaps = np.where(zeros, ca * a + cb * sign * b, np.where(ones, ca * sign * b + cb * a, 0.0))
     return float(np.mean(overlaps.real**2 + overlaps.imag**2))
 
 
 def joint_x_expectation(result: RunResult) -> float:
     """<X x ... x X> over the output qubits (frame-adjusted for trajectories)."""
-    observable = "X" * result.n_outputs
     if result.is_exact:
-        return result.output_state.expectation(observable)
-    # X on every qubit maps basis index i to its complement, the reversed row.
-    framed = _framed_states(result.records)
-    return float(np.mean(np.sum(framed.conj() * framed[:, ::-1], axis=1).real))
+        return result.output_state.expectation("X" * result.n_outputs)
+    # X on every qubit swaps |x> and |~x>: <X...X> = s 2 Re(conj(a) b).
+    _, _, sign, (a, b) = _framed_shots(result)
+    return float(np.mean(sign * 2.0 * (np.conj(a) * b).real))
 
 
 def cardinal_error(

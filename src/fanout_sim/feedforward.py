@@ -63,7 +63,8 @@ class RecoveryOp:
 
 @dataclass(frozen=True)
 class PauliFrame:
-    """Accumulated virtual X/Z corrections, one flag pair per output qubit."""
+    """X/Z flags, one pair per output qubit, of a Pauli: accumulated virtual
+    corrections, or a trajectory shot's output Pauli on the ideal state."""
 
     x_flips: tuple[int, ...]
     z_flips: tuple[int, ...]

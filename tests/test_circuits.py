@@ -1,4 +1,6 @@
 """Circuit builder, timing, occurrence-count, and idle-accounting tests."""
+import dataclasses
+
 import pytest
 
 from helpers import fit_scaling_degree
@@ -249,6 +251,26 @@ class TestCircuitValidation:
     def test_timing_model_validation(self):
         with pytest.raises(ValueError):
             TimingModel(t_1q=0.0)
+
+    def test_recovery_window_must_hold_a_zx_recovery(self):
+        """A 900 ns latency leaves 28 ns of the 928 ns step, less than the
+        four 32 ns pulses of a Z*X recovery."""
+        with pytest.raises(ValueError, match="recovery window of 28 ns"):
+            TimingModel(t_ff_latency=900.0)
+        assert TimingModel(t_ff_latency=800.0).recovery_window == 4 * 32.0
+
+    def test_steps_follow_from_gate_times(self):
+        """Only the feedforward step is set; the others come from the gate
+        times, so a slower gate lengthens the schedule and the model alike."""
+        assert [f.name for f in dataclasses.fields(TimingModel)] == [
+            "t_1q", "t_cz_total", "t_readout", "t_ff_latency", "step_feedforward",
+        ]
+        timing = TimingModel(t_1q=40.0, t_cz_total=150.0, t_readout=500.0, step_feedforward=960.0)
+        expected = {"prepare": 380.0, "entangle": 230.0, "measure": 500.0, "feedforward": 960.0}
+        assert build_constant_depth(2, timing).step_durations() == expected
+        assert [timing.step_prepare, timing.step_entangle, timing.step_measure,
+                timing.step_feedforward] == list(expected.values())
+        assert timing.constant_depth_total == sum(expected.values())
 
     def test_constant_depth_totals(self):
         timing = TimingModel()

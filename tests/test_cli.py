@@ -122,6 +122,17 @@ class TestSimulateCommand:
         args = ["simulate", "--mode", "trajectories", "--n", "8", "--shots", "50"]
         assert main(args + ["--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--n", "30"], ["--family", "unitary", "--n", "21"]],
+        ids=["feedforward-n30", "unitary-n21"],
+    )
+    def test_trajectories_have_no_output_cap(self, args, tmp_path):
+        """Past the paper's 25-output crossover, with the default 1000 shots."""
+        assert main(["simulate", "--mode", "trajectories", *args, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "simulate.csv", ["fidelity", "joint_x", "duration_ns"])
+        assert 0.0 < float(rows[0]["fidelity"]) < 1.0
+
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
         args = [
             "simulate", "--family", "feedforward", "--n", "2", "--input", "+",
@@ -291,14 +302,12 @@ class TestErrorBoundary:
             ["simulate", "--n", "1", "--noise", "none"],
             ["simulate", "--n", "5", "--noise", "default"],
             ["simulate", "--n", "2", "--mode", "trajectories", "--shots", "0"],
-            ["simulate", "--family", "unitary", "--n", "21", "--mode", "trajectories"],
             ["simulate", "--n", "2", "--input", "theta=9"],
             ["sweep", "--n", "2", "--sweep", "theta", "--phi", "7", "--noise", "none"],
             ["tomo", "--n", "5", "--noise", "default"],
             ["model", "--rates", "mu=-1"],
         ],
-        ids=["n1", "exact-ceiling", "zero-shots", "trajectory-ceiling", "theta", "phi",
-             "tomo-ceiling", "rates"],
+        ids=["n1", "exact-ceiling", "zero-shots", "theta", "phi", "tomo-ceiling", "rates"],
     )
     def test_bad_configuration_exits_2(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path)]) == 2

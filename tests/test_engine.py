@@ -31,6 +31,7 @@ from fanout_sim.engine import (
     run_exact,
     run_trajectory,
     serialize_run_result,
+    target_state,
 )
 from fanout_sim.feedforward import recovery_indices
 from fanout_sim.noise import ConfusionMatrix, NoiseModel
@@ -219,7 +220,7 @@ class TestRunTrajectory:
         b = run_trajectory(build_constant_depth(2), config)
         assert [r.outcome_key for r in a.records] == [r.outcome_key for r in b.records]
         for ra, rb in zip(a.records, b.records):
-            np.testing.assert_array_equal(ra.state.amplitudes, rb.state.amplitudes)
+            assert ra.pauli == rb.pauli
             assert ra.frame == rb.frame
 
     @pytest.mark.parametrize("label", list(ORACLE_INPUTS))
@@ -308,7 +309,7 @@ class TestRunTrajectory:
 
     def test_constant_depth_beyond_the_register_ceiling(self):
         """n = 8 is 22 qubits, more than a statevector of the register allows;
-        the sampler keeps only 2^8 amplitudes per shot."""
+        the sampler keeps only each shot's Pauli."""
         circuit = build_constant_depth(8)
         assert circuit.qubit_count == 22
         inp = InputState(2.2, 4.0)
@@ -316,6 +317,77 @@ class TestRunTrajectory:
         for record in result.records:
             shot = dataclasses.replace(result, records=[record], shots=1)
             assert output_fidelity(shot, inp) >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_noiseless_shots_far_past_the_output_count_of_a_statevector(self, family):
+        """n = 40 (118 qubits for constant depth, 40 for the ladder): every
+        shot reaches the target, and the 78-bit keys, wider than an int64,
+        spell each shot's reported bits. Noiseless readouts report the
+        uniform bits that the seeded generator draws first."""
+        inp, shots, seed = InputState(2.2, 4.0), 16, 9
+        circuit = build_circuit(family, 40)
+        result = run_trajectory(circuit, noiseless(inp, mode="trajectories", shots=shots, seed=seed))
+        for record in result.records:
+            shot = dataclasses.replace(result, records=[record], shots=1)
+            assert output_fidelity(shot, inp) == pytest.approx(1.0, abs=1e-12)
+        width = circuit.measure_count
+        assert width == (0 if family == "unitary" else 78)
+        drawn = np.random.default_rng(seed).integers(0, 2, size=(shots, width), dtype=bool)
+        keys = ["".join("1" if bit else "0" for bit in row) for row in drawn]
+        assert [r.outcome_key for r in result.records] == keys
+        assert list(result.histogram) == sorted(set(keys))
+        if family == "pauli_frame":
+            index = recovery_indices(drawn[:, 0::2], drawn[:, 1::2])
+            assert [r.frame.x_flips for r in result.records] == [tuple(row) for row in index & 1]
+            assert [r.frame.z_flips for r in result.records] == [tuple(row) for row in index >> 1]
+
+    def test_metrics_need_the_run_input(self):
+        config = noiseless(PLUS, mode="trajectories", shots=4, seed=1)
+        result = dataclasses.replace(run_trajectory(build_constant_depth(2), config), input=None)
+        with pytest.raises(ValueError, match="input"):
+            output_fidelity(result, PLUS)
+        with pytest.raises(ValueError, match="input"):
+            joint_x_expectation(result)
+
+
+def _dense_shot_state(record, inp, n) -> np.ndarray:
+    """A shot's 2^n state, its frame applied, built the dense way: X^x Z^z
+    of its Pauli and then of its frame on the ideal state, by basis index
+    (qubit 0 most significant). Equal to the physical state up to a phase."""
+    amps = target_state(inp, n).amplitudes
+    index = np.arange(2**n)
+    for pauli in (record.pauli, record.frame):
+        x_mask, z_mask = _bit_masks([pauli.x_flips, pauli.z_flips])
+        amps = np.where(np.bitwise_count(index & z_mask) & 1, -amps, amps)[index ^ x_mask]
+    return amps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_metrics_match_dense_shot_states(family, n):
+    """Per-shot fidelity and joint-X in closed form equal those of each
+    shot's dense state, against the run's input and against another one.
+    Strong noise and readout flips give shots many distinct Paulis and frames."""
+    noise = NoiseModel(
+        two_qubit_depol=0.2,
+        single_qubit_depol=0.2,
+        confusion=ConfusionMatrix(p01=0.15, p10=0.02),
+        t2_echo=5e-6,
+    )
+    circuit = build_circuit(family, n)
+    targets = [PLUS, InputState(2.2, 4.0), ONE]
+    for inp in (InputState(1.0, 0.5), ONE):
+        config = RunConfig(input=inp, noise=noise, mode="trajectories", shots=40, seed=n,
+                           noisy_recovery=True)
+        result = run_trajectory(circuit, config)
+        for record in result.records:
+            shot = dataclasses.replace(result, records=[record], shots=1)
+            state = _dense_shot_state(record, inp, n)
+            jx = np.vdot(state, state[::-1]).real  # X on every qubit reverses the index
+            assert joint_x_expectation(shot) == pytest.approx(jx, abs=1e-12)
+            for target in targets + [inp]:
+                expected = abs(np.vdot(target_state(target, n).amplitudes, state)) ** 2
+                assert output_fidelity(shot, target) == pytest.approx(expected, abs=1e-12)
 
 
 #: Inputs of the premise check: both poles and two points off the grid.

@@ -8,7 +8,8 @@ its directory first on ``sys.path``, and pickles its results to a temporary
 file; this process then compares the two, field by field. A configuration
 is reported ``identical`` when every field has equal bytes (signed zeros
 included), ``array_equal`` when every field passes ``np.array_equal`` but
-some bytes differ, and ``DIFFERENT`` otherwise. The exit status is 1 unless
+some bytes differ, and ``DIFFERENT`` otherwise; a float field that differs
+is listed with its largest absolute difference. The exit status is 1 unless
 every configuration passes ``np.array_equal``.
 
 The grid: feedforward and pauli_frame at n = 2, 3, 4 and unitary at
@@ -16,10 +17,13 @@ n = 3, 4, 9, each with four inputs, noiseless, with device-median noise,
 with device noise and ``noisy_recovery``, and (n <= 3) with strong noise and
 ``noisy_recovery``. Each configuration is one exact run (output state,
 histogram, pruned mass and, when noiseless, every branch) and one seeded
-300-shot trajectory run (outcome keys, frames and states).
+300-shot trajectory run (outcome keys, frames, histogram, and each shot's
+fidelity and joint-X, from one-record results through the tree's own
+``output_fidelity`` and ``joint_x_expectation``).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import pickle
 import subprocess
@@ -81,7 +85,13 @@ def _histogram(result) -> dict:
 def _run_grid() -> dict:
     """Every configuration's fields: name -> array or list of strings."""
     from fanout_sim.circuits import build_circuit
-    from fanout_sim.engine import RunConfig, run_exact, run_trajectory
+    from fanout_sim.engine import (
+        RunConfig,
+        joint_x_expectation,
+        output_fidelity,
+        run_exact,
+        run_trajectory,
+    )
     from fanout_sim.states import InputState
 
     results = {}
@@ -104,11 +114,13 @@ def _run_grid() -> dict:
                            noisy_recovery=noisy_recovery)
         traj = run_trajectory(circuit, config)
         records = traj.records
+        shots = [dataclasses.replace(traj, records=[r], shots=1) for r in records]
         results["trajectories " + name] = {
             "keys": [r.outcome_key for r in records],
             "frames.x": np.array([r.frame.x_flips for r in records], dtype=bool),
             "frames.z": np.array([r.frame.z_flips for r in records], dtype=bool),
-            "states": np.stack([r.state.amplitudes for r in records]),
+            "shots.fidelity": np.array([output_fidelity(shot, inp) for shot in shots]),
+            "shots.joint_x": np.array([joint_x_expectation(shot) for shot in shots]),
             **_histogram(traj),
         }
     return results
@@ -141,6 +153,15 @@ def _compare(a, b) -> str:
     return "identical" if a.tobytes() == b.tobytes() else "array_equal"
 
 
+def _max_difference(a, b) -> float | None:
+    """Largest absolute difference of two float fields of one shape, else None."""
+    if isinstance(a, list) or isinstance(b, list) or a.shape != b.shape:
+        return None
+    if not (np.issubdtype(a.dtype, np.inexact) and np.issubdtype(b.dtype, np.inexact)):
+        return None
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--dump":
         _dump(argv[1], argv[2])
@@ -151,18 +172,28 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         old, new = (_load(src, workdir, tag) for src, tag in zip(argv, ("old", "new")))
     tally: dict[str, dict[str, int]] = {}
+    largest: dict[str, float] = {}
     for name, fields in old.items():
+        engine = name.split()[0]
         verdicts = {field: _compare(value, new[name][field]) for field, value in fields.items()}
         worst = next((v for v in VERDICTS if v in verdicts.values()), "identical")
-        detail = [field for field, v in verdicts.items() if v != "identical"]
+        detail = []
+        for field, verdict in verdicts.items():
+            diff = _max_difference(fields[field], new[name][field])
+            if verdict == "different" and diff is not None:
+                detail.append(f"{field} max |diff| {diff:.3g}")
+                largest[engine] = max(largest.get(engine, 0.0), diff)
+            elif verdict != "identical":
+                detail.append(field)
         print(f"{name}: {worst if worst != 'different' else 'DIFFERENT'}"
               + (f" ({', '.join(detail)})" if detail else ""))
-        counts = tally.setdefault(name.split()[0], dict.fromkeys(VERDICTS, 0))
+        counts = tally.setdefault(engine, dict.fromkeys(VERDICTS, 0))
         counts[worst] += 1
     for engine, counts in tally.items():
         total = sum(counts.values())
         print(f"{engine}: {total - counts['different']} of {total} array_equal, "
-              f"{counts['identical']} of {total} byte-identical")
+              f"{counts['identical']} of {total} byte-identical"
+              + (f", largest float difference {largest[engine]:.3g}" if engine in largest else ""))
     return 1 if any(counts["different"] for counts in tally.values()) else 0
 
 
