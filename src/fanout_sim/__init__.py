@@ -27,6 +27,7 @@ from .engine import (
     output_fidelity,
     run,
     run_exact,
+    run_pauli,
     run_trajectory,
     target_state,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "recovery_ops",
     "run",
     "run_exact",
+    "run_pauli",
     "run_trajectory",
     "sample_pauli_error",
     "scaling_curve",

@@ -202,10 +202,14 @@ def cmd_sweep(args) -> int:
             RunConfig(input=inp, noise=noise, mode=args.mode, shots=args.shots, seed=args.seed)
             for inp in inputs
         ]
+    # A theta sweep's true phase is 0, which contrast_fit folds into [0, 2pi),
+    # so whether it prints 0 or 2pi follows 1e-17 rounding of joint-X: exact
+    # sweeps keep the digits of the dense engine.
+    engine_run = run_exact if args.mode == "exact" else run
     rows, fids, jxs = [], [], []
     for angle, inp, config in zip(angles, inputs, configs):
         with _config_errors(CeilingError):
-            result = run(circuit, config)
+            result = engine_run(circuit, config)
         fid = output_fidelity(result, inp)
         jx = joint_x_expectation(result)
         fids.append(fid)

@@ -1,28 +1,37 @@
-"""Protocol execution: exact branch enumeration and trajectory sampling.
+"""Protocol execution: an exact Pauli law, dense branch enumeration, and
+trajectory sampling.
 
-Both modes execute one walk of the circuit (``_walk``), which resolves every
+All three execute one walk of the circuit (``_walk``), which resolves every
 operation's register positions, noise sites and readout confusion in one
-place, and both keep the reported bits as a boolean array (one row per
-branch or shot) from which ``feedforward.recovery_indices`` picks each
-recovery.
+place, and keep reported bits as boolean arrays (one row per branch, shot
+or outcome) from which ``feedforward.recovery_indices`` picks each recovery.
 
-Exact mode walks a density matrix (statevector when noiseless), enumerating
-every measurement branch (true outcome times reported outcome under readout
-confusion), applying the conditional recovery implied by the reported bits,
-and averaging the surviving output states. All live branches are stacked
-into one batched state, next to their weights and reported bits, so each
-step is one kernel call across every branch; each branch still gets
-exactly the bits a walk of its own would give.
+Every operation of a circuit that ``build_circuit`` makes is Clifford after
+the input pulse and all noise is Pauli, after the CHP tableau (Aaronson &
+Gottesman, arXiv:quant-ph/0406196) and Stim's frame sampler (Gidney,
+arXiv:2103.02202). Its noisy output is therefore a law of Paulis on the
+ideal state |t>, sum_E p(E) E|t><t|E, and a Pauli X^x Z^z moves
+a|0...0> + b|1...1> to a|x> + s b|~x> with s = (-1)^|z|. The boolean
+arrays X and Z of Pauli frames carry faults and shots through the walk,
+and each gate, fault, readout flip and recovery (physical for feedforward,
+a recorded ``PauliFrame`` for frame update) updates them in one step.
 
-Trajectory mode samples the same model by Pauli frames, after the CHP
-tableau (Aaronson & Gottesman, arXiv:quant-ph/0406196) and Stim's frame
-sampler (Gidney, arXiv:2103.02202). Every operation after the input pulse
-is Clifford and all noise is Pauli, so a shot is its noiseless output (a
-known Pauli on the ideal state) times a Pauli frame. A run carries the
-frames of all shots as boolean arrays, which each gate, sampled error,
-readout flip and recovery (physical for feedforward, a recorded
-``PauliFrame`` for frame update) updates in one vectorized step. A shot
-keeps its output Pauli, never 2^n amplitudes; the metrics read its bits.
+``run_pauli`` is the exact engine for those circuits, and ``run`` sends
+them to it. It walks one frame per fault (each non-identity Pauli of a
+depolarizing site, each readout flip) and XOR-convolves the faults'
+output cells (x, s) into the law, batched over the reported outcomes.
+
+``run_exact`` walks a density matrix (statevector when noiseless) through
+every measurement branch (true outcome times reported outcome under
+readout confusion), applies the conditional recovery of the reported bits
+and averages the surviving output states. All live branches are stacked
+into one batched state, so each step is one kernel call across every
+branch. It runs any circuit, and it is the oracle the law is tested
+against.
+
+``run_trajectory`` samples the same model: each shot is its noiseless
+output (a known Pauli on |t>) times a sampled frame. A shot keeps its
+output Pauli, never 2^n amplitudes; the metrics read its bits.
 """
 from __future__ import annotations
 
@@ -113,7 +122,12 @@ class RunResult:
 
     ``pruned_mass`` is the probability an exact run dropped (branches below
     ``BRANCH_PRUNE``, outcomes below ``states.ZERO_PROB``) before it
-    renormalized what remained; trajectory runs leave it None.
+    renormalized what remained: 0 for a Pauli law, which drops nothing, and
+    None for trajectory runs.
+
+    ``pauli_law`` (set by ``run_pauli`` only) has shape (2^n, 2): entry
+    [x, k] is the probability that the output is X^x Z^z on the ideal state
+    with |z| of parity k, x in register order with output 0 most significant.
     """
 
     family: str
@@ -126,6 +140,7 @@ class RunResult:
     branches: list[tuple[str, float, PureState]] | None = None
     input: InputState | None = None
     pruned_mass: float | None = None
+    pauli_law: np.ndarray | None = None
 
     @property
     def is_exact(self) -> bool:
@@ -167,7 +182,7 @@ class _Noise:
 
 
 def _walk(circuit: Circuit, config: RunConfig):
-    """The steps that both engines execute, in order, as (op, positions, arg).
+    """The steps that every engine executes, in order, as (op, positions, arg).
 
     ``op`` is an operation of the circuit (decoupling pulses, simulated as
     identity, are left out) or a ``_Noise`` site: with noise, one follows
@@ -343,6 +358,136 @@ def _recover(state, groups, q: int, p: float | None) -> None:
         members[rows] = _members(group)
 
 
+def run_pauli(circuit: Circuit, config: RunConfig) -> RunResult:
+    """Exact run of a circuit that ``build_circuit`` makes (any other raises
+    ValueError), as the law of the Pauli on the ideal output |t>.
+
+    One walk carries a Pauli frame per fault: each non-identity Pauli of a
+    depolarizing site, with probability p/4^k, and each readout flip. Its
+    output Pauli, times the recovery of the reported bits it flips, gives
+    its cell (x, s) of the law. The noiseless bits are uniform whatever the
+    input, so the true bits are too, independent of the faults, and each
+    reported bit is 1 with probability (p10 + 1 - p01)/2. The law is
+    batched over every row r of reported bits, weighted P(r): a row's
+    readout flips follow their law given r, and with ``noisy_recovery``
+    the site after each recovery pulse counts once per pulse that r fires.
+    The pulses of a recovery multiply to a Pauli, so they leave every
+    frame's bits as they are, and a depolarizing site commutes with them.
+    """
+    _check_built(circuit)
+    return _run_law(circuit, config)
+
+
+def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
+    """``run_pauli`` of a circuit that ``_check_built`` accepted."""
+    ceiling = PURE_QUBIT_CEILING if config.noise is None else DENSITY_QUBIT_CEILING
+    if circuit.qubit_count > ceiling:
+        raise CeilingError(
+            f"{circuit.qubit_count} qubits exceed the {ceiling}-qubit exact ceiling"
+        )
+    n, width = circuit.n_outputs, circuit.measure_count
+    steps = list(_walk(circuit, config))
+    counts = [_fault_count(op, arg) for op, _, arg in steps]
+    x = np.zeros((sum(counts), circuit.qubit_count), dtype=bool)
+    z = np.zeros_like(x)
+    flips = np.zeros((len(x), width), dtype=bool)  # the reported bits each fault flips
+    sites, start = [], 0
+    for (op, _, arg), count in zip(steps, counts):
+        rows = slice(start, start + count)
+        start += count
+        if count:
+            sites.append((rows, op, arg))
+        if isinstance(op, GateOp):
+            _conjugate(x, z, op)
+        elif isinstance(op, MeasureOp):
+            flips[:, op.column] = x[:, op.qubit]
+            flips[rows, op.column] = True
+        elif count:  # a depolarizing site, or the one after a recovery's pulses
+            qubits = op.qubits if isinstance(op, _Noise) else (op.qubit,)
+            paulis = np.arange(1, count + 1)  # 2 bits per qubit, x then z
+            for j, q in enumerate(qubits):
+                x[rows, q] = (paulis >> 2 * j) & 1
+                z[rows, q] = (paulis >> 2 * j + 1) & 1
+    x, z = _output_frames(circuit, x, z, flips)
+    cells = 2 * (x @ (1 << np.arange(n - 1, -1, -1))) + (np.count_nonzero(z, axis=1) & 1)
+
+    reported = ((np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(bool)
+    weights = np.ones(len(reported))
+    law = np.zeros((len(reported), 2 ** (n + 1)))
+    law[:, 0] = 1.0
+    for rows, op, arg in sites:
+        faults = cells[rows]
+        if isinstance(op, _Noise):
+            law = _convolve(law, faults, np.full(len(faults), op.p / 4 ** len(op.qubits)))
+        elif isinstance(op, MeasureOp):
+            bit = reported[:, op.column]
+            prob = np.where(bit, arg.p10 + 1.0 - arg.p01, arg.p01 + 1.0 - arg.p10) / 2.0
+            flip = np.where(bit, arg.p10, arg.p01) / 2.0  # P(r_j, flipped)
+            weights *= prob
+            law = _convolve(law, faults, np.divide(flip, prob, out=np.zeros_like(flip),
+                                                   where=prob > 0.0)[:, None])
+        else:
+            for value, members in _recovery_groups(reported, op):
+                for _ in _recovery_pulses(value, op.qubit):
+                    law[members] = _convolve(law[members], faults, np.full(3, arg / 4.0))
+    pauli_law = (weights @ law).reshape(2**n, 2)
+    kept = weights > 0.0
+    return RunResult(
+        family=circuit.family,
+        n_outputs=n,
+        duration_ns=circuit.duration_ns,
+        output_state=_law_state(pauli_law, config.input),
+        histogram=dict(zip(_bit_strings(reported[kept]), weights[kept].tolist())),
+        input=config.input,
+        pruned_mass=0.0,
+        pauli_law=pauli_law,
+    )
+
+
+def _fault_count(op, arg) -> int:
+    """Fault frames of one step of the walk: the non-identity Paulis of a
+    depolarizing site (the site of noisy recovery pulses counts once), or
+    the flip of a readout."""
+    if isinstance(op, _Noise):
+        return 4 ** len(op.qubits) - 1
+    if isinstance(op, MeasureOp):
+        return 1
+    return 3 if isinstance(op, RecoverOp) and arg is not None else 0
+
+
+def _convolve(law: np.ndarray, cells: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """XOR-convolve a site into every row of ``law``: fault i moves weight
+    from cell c to c ^ cells[i] with probability probs[..., i] (one value
+    per fault, or one row of them per row of ``law``); the rest stays."""
+    probs = np.broadcast_to(probs, (len(law), len(cells)))
+    shifted = law[:, np.arange(law.shape[1])[:, None] ^ cells]  # (rows, cells, faults)
+    return law * (1.0 - probs.sum(axis=1))[:, None] + np.einsum("rcf,rf->rc", shifted, probs)
+
+
+def _law_state(law: np.ndarray, inp: InputState) -> DensityState:
+    """Sum over cells (x, s) of the law times the projector onto a|x> + s b|~x>:
+    only the entries (x, x), (x, ~x), (~x, x) and (~x, ~x) are nonzero."""
+    a, b = inp.amplitudes()
+    total, signed = law.sum(axis=1), law[:, 0] - law[:, 1]
+    x = np.arange(len(law))
+    rho = np.zeros((len(law), len(law)), dtype=complex)
+    rho[x, x] = abs(a) ** 2 * total + abs(b) ** 2 * total[::-1]  # ~x is x reversed
+    rho[x, x[::-1]] = a * np.conj(b) * signed + np.conj(a) * b * signed[::-1]
+    return DensityState(rho, validate=False)
+
+
+def _output_frames(circuit: Circuit, x: np.ndarray, z: np.ndarray, bits: np.ndarray):
+    """The output columns of frames ``x`` and ``z``, times the recovery Pauli
+    of each row of measured ``bits`` (columns z1 x1 z2 x2 ...)."""
+    outputs = list(circuit.outputs)
+    x, z = x[:, outputs], z[:, outputs]
+    if bits.shape[1]:
+        index = recovery_indices(bits[:, 0::2], bits[:, 1::2])
+        x ^= (index & 1).astype(bool)
+        z ^= (index >> 1).astype(bool)
+    return x, z
+
+
 def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     """Monte-Carlo unraveling by Pauli-frame sampling of a circuit that
     ``build_circuit`` makes (any other raises ValueError).
@@ -381,12 +526,7 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
 
     # R(m) acts on |t> at the end of the circuit, so it joins the output
     # frames after the walk; without measurements it is the identity.
-    outputs = list(circuit.outputs)
-    x, z = x[:, outputs], z[:, outputs]
-    if width:
-        index = recovery_indices(ref[:, 0::2], ref[:, 1::2])
-        x ^= (index & 1).astype(bool)
-        z ^= (index >> 1).astype(bool)
+    x, z = _output_frames(circuit, x, z, ref)
     keys = _bit_strings(reported)
     counts = Counter(keys)
     frames = _shared_frames(marks & 1, marks >> 1)
@@ -404,11 +544,12 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
 
 
 def _check_built(circuit: Circuit) -> None:
-    """Reject a circuit that trajectory mode cannot sample.
+    """Reject a circuit that the frame engines (the law and the sampler)
+    cannot run.
 
     Frames follow only Clifford gates after an input pulse that comes first
-    on its qubit, and the sampler's outcome law and output states hold for
-    the circuits ``build_circuit`` makes, so any other circuit is refused.
+    on its qubit, and the uniform outcomes and output states they rest on
+    hold for the circuits ``build_circuit`` makes, so any other is refused.
     """
     touched: set[int] = set()
     for op in circuit.operations():
@@ -488,45 +629,62 @@ def _recover_frames(x, z, groups, qubit: int, p: float | None, rng) -> None:
 
 
 def run(circuit: Circuit, config: RunConfig) -> RunResult:
-    if config.mode == "exact":
+    """Run in the config's mode. Exact runs of circuits that ``build_circuit``
+    makes are Pauli laws (``run_pauli``); any other circuit walks the dense
+    ``run_exact``."""
+    if config.mode == "trajectories":
+        return run_trajectory(circuit, config)
+    try:
+        _check_built(circuit)
+    except ValueError:
         return run_exact(circuit, config)
-    return run_trajectory(circuit, config)
+    return _run_law(circuit, config)
 
 
-def _framed_shots(result: RunResult):
-    """Each shot's Pauli P = X^x Z^z times its frame maps the input's
-    a|0...0> + b|1...1> to a|x> + s b|~x> up to a phase, with s = (-1)^|z|.
-    Returns per shot whether x is all 0, whether it is all 1, and s; and (a, b)."""
+def _output_paulis(result: RunResult):
+    """The Paulis P = X^x Z^z that a law or trajectory result puts on its
+    input's a|0...0> + b|1...1>, giving a|x> + s b|~x> up to a phase with
+    s = (-1)^|z|. Returns per Pauli whether x is all 0, whether it is all 1,
+    and s; their probabilities (None: equally likely shots); and (a, b)."""
     if result.input is None:
-        raise ValueError("a trajectory result needs its input to evaluate its shots")
+        raise ValueError("a Pauli-law or trajectory result needs its input to evaluate it")
+    if result.pauli_law is not None:
+        x = np.repeat(np.arange(len(result.pauli_law)), 2)
+        sign = np.tile([1.0, -1.0], len(result.pauli_law))
+        return x == 0, x == x[-1], sign, result.pauli_law.ravel(), result.input.amplitudes()
     records = result.records
     x = np.array([r.pauli.x_flips for r in records], dtype=bool)
     x ^= np.array([r.frame.x_flips for r in records], dtype=bool)
     z_count = np.array([sum(r.pauli.z_flips) + sum(r.frame.z_flips) for r in records])
     sign = np.where(z_count & 1, -1.0, 1.0)
-    return ~x.any(axis=1), x.all(axis=1), sign, result.input.amplitudes()
+    return ~x.any(axis=1), x.all(axis=1), sign, None, result.input.amplitudes()
+
+
+def _average(values: np.ndarray, probs: np.ndarray | None) -> float:
+    """Mean of per-Pauli values under their probabilities (None: equal)."""
+    return float(np.mean(values) if probs is None else probs @ values)
 
 
 def output_fidelity(result: RunResult, inp: InputState) -> float:
     """Uhlmann fidelity of the run output against the ideal fan-out state."""
-    if result.is_exact:
+    if result.is_exact and result.pauli_law is None:
         if result.output_state.n != result.n_outputs:
             raise ValueError("result state does not cover the output register")
         return fidelity(result.output_state, target_state(inp, result.n_outputs).to_density())
     # Overlap of a|x> + s b|~x> with a'|0...0> + b'|1...1>.
-    zeros, ones, sign, (a, b) = _framed_shots(result)
+    zeros, ones, sign, probs, (a, b) = _output_paulis(result)
     ca, cb = np.conj(inp.amplitudes())
     overlaps = np.where(zeros, ca * a + cb * sign * b, np.where(ones, ca * sign * b + cb * a, 0.0))
-    return float(np.mean(overlaps.real**2 + overlaps.imag**2))
+    return _average(overlaps.real**2 + overlaps.imag**2, probs)
 
 
 def joint_x_expectation(result: RunResult) -> float:
     """<X x ... x X> over the output qubits (frame-adjusted for trajectories)."""
-    if result.is_exact:
+    if result.is_exact and result.pauli_law is None:
         return result.output_state.expectation("X" * result.n_outputs)
     # X on every qubit swaps |x> and |~x>: <X...X> = s 2 Re(conj(a) b).
-    _, _, sign, (a, b) = _framed_shots(result)
-    return float(np.mean(sign * 2.0 * (np.conj(a) * b).real))
+    _, _, sign, probs, (a, b) = _output_paulis(result)
+    return _average(sign * 2.0 * (np.conj(a) * b).real, probs)
 
 
 def cardinal_error(
@@ -536,7 +694,7 @@ def cardinal_error(
     fidelities = []
     for _, inp in CARDINAL_INPUTS:
         config = RunConfig(input=inp, noise=noise, noisy_recovery=noisy_recovery)
-        result = run_exact(circuit, config)
+        result = run(circuit, config)
         fidelities.append(output_fidelity(result, inp))
     return 1.0 - sum(fidelities) / len(fidelities)
 

@@ -136,6 +136,14 @@ class TestUnitaryBuilder:
     def test_input_is_first_output(self):
         assert build_unitary(3).outputs == (0, 1, 2)
 
+    def test_gate_times_off_binary_fractions_build(self):
+        """The layer sum and the closed form round differently for gate times
+        that are not binary fractions, so build_unitary must not compare them exactly."""
+        timing = TimingModel(t_1q=31.1, t_cz_total=144.3)
+        for n in range(2, 30):
+            duration = build_unitary(n, timing).duration_ns
+            assert duration == pytest.approx(timing.unitary_duration(n), rel=1e-9, abs=0.0)
+
 
 class TestOccurrenceCounts:
     def test_unitary_example(self):

@@ -20,6 +20,7 @@ from fanout_sim.circuits import (
     build_constant_depth,
     build_unitary,
 )
+from fanout_sim import engine
 from fanout_sim.engine import (
     BRANCH_PRUNE,
     RunConfig,
@@ -29,6 +30,7 @@ from fanout_sim.engine import (
     output_fidelity,
     run,
     run_exact,
+    run_pauli,
     run_trajectory,
     serialize_run_result,
     target_state,
@@ -36,6 +38,7 @@ from fanout_sim.engine import (
 from fanout_sim.feedforward import recovery_indices
 from fanout_sim.noise import ConfusionMatrix, NoiseModel
 from fanout_sim.states import (
+    CARDINAL_INPUTS,
     PAULI_MATRICES,
     DensityState,
     GateOp,
@@ -111,6 +114,100 @@ def write_reference() -> None:
         for case in ORACLE_CASES
     }
     REFERENCE.write_text(json.dumps(values, indent=1) + "\n")
+
+
+#: Noise models of the law-versus-oracle check. The strong one has errors
+#: some 100 times the device's, readout that favours 0, and an override on
+#: qubit 1 that favours 1, so every site and each readout direction counts.
+LAW_NOISES = {
+    "none": None,
+    "device": NoiseModel.device_medians(),
+    "strong": NoiseModel(
+        two_qubit_depol=0.2,
+        single_qubit_depol=0.2,
+        confusion=ConfusionMatrix(p01=0.15, p10=0.02),
+        t2_echo=5e-6,
+        confusion_overrides={1: ConfusionMatrix(p01=0.05, p10=0.3)},
+    ),
+}
+#: Mode name -> (noise name, noisy_recovery).
+LAW_MODES = {
+    "none": ("none", False),
+    "device": ("device", False),
+    "device+noisy_recovery": ("device", True),
+    "strong+noisy_recovery": ("strong", True),
+}
+LAW_INPUTS = dict(CARDINAL_INPUTS) | {
+    "theta=1.0,phi=0.5": InputState(1.0, 0.5),
+    "theta=2.2,phi=4.0": InputState(2.2, 4.0),
+}
+LAW_CIRCUITS = [(family, n) for family in ("feedforward", "pauli_frame") for n in (2, 3, 4)]
+LAW_CIRCUITS += [("unitary", n) for n in (2, 3, 4, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def dense_run(family, n, label, noise, noisy_recovery):
+    """The oracle's run, shared (not to be mutated) across the modes that
+    give it the same arguments."""
+    config = RunConfig(input=LAW_INPUTS[label], noise=LAW_NOISES[noise],
+                       noisy_recovery=noisy_recovery)
+    return run_exact(build_circuit(family, n), config)
+
+
+@pytest.mark.parametrize("label", list(LAW_INPUTS))
+@pytest.mark.parametrize("mode", list(LAW_MODES))
+@pytest.mark.parametrize("family,n", LAW_CIRCUITS)
+def test_pauli_law_matches_dense_oracle(family, n, mode, label):
+    """``run_pauli`` against ``run_exact``: fidelity, joint-X, every entry of
+    the output state and every histogram value (a missing key counts as 0)
+    agree within twice the probability the oracle pruned and renormalized
+    away, plus 1e-12. The strong mode checks the law of reported bits under
+    p01 != p10 against the oracle's branch weights."""
+    noise, noisy_recovery = LAW_MODES[mode]
+    inp = LAW_INPUTS[label]
+    # Only feedforward circuits carry recovery pulses to make noisy.
+    dense = dense_run(family, n, label, noise, noisy_recovery and family == FAMILY_FEEDFORWARD)
+    config = RunConfig(input=inp, noise=LAW_NOISES[noise], noisy_recovery=noisy_recovery)
+    law = run_pauli(build_circuit(family, n), config)
+    tol = 2.0 * dense.pruned_mass + 1e-12
+    assert abs(output_fidelity(law, inp) - output_fidelity(dense, inp)) <= tol
+    assert abs(joint_x_expectation(law) - joint_x_expectation(dense)) <= tol
+    assert np.abs(law.output_state.matrix - dense.output_state.matrix).max() <= tol
+    for key in law.histogram.keys() | dense.histogram.keys():
+        assert abs(law.histogram.get(key, 0.0) - dense.histogram.get(key, 0.0)) <= tol, key
+
+
+class TestRunDispatch:
+    def test_built_circuit_runs_as_a_pauli_law(self):
+        config = RunConfig(input=PLUS, noise=NoiseModel.device_medians())
+        result = run(build_constant_depth(3), config)
+        assert result.pauli_law.shape == (2**3, 2)
+        assert result.branches is None
+        assert result.pruned_mass == 0.0
+
+    @pytest.mark.parametrize("gate", [GateOp("H", (0,)), GateOp("RX", (0,), 0.3)], ids=["H", "RX"])
+    @pytest.mark.parametrize("noise", [None, NoiseModel.device_medians()], ids=["noiseless", "noisy"])
+    def test_other_circuits_run_dense(self, gate, noise):
+        """A hand-made circuit, Clifford or not, gets the bytes of ``run_exact``."""
+        circuit = _one_qubit_circuit(PrepareInputOp(0), gate)
+        config = RunConfig(input=InputState(1.0, 0.5), noise=noise)
+        result, dense = run(circuit, config), run_exact(circuit, config)
+        assert result.pauli_law is None
+        assert result.output_state.matrix.tobytes() == dense.output_state.matrix.tobytes()
+        assert list(result.histogram.items()) == list(dense.histogram.items())
+        assert result.pruned_mass == dense.pruned_mass
+        assert (result.branches is None) == (noise is not None)
+
+    def test_cardinal_error_goes_through_run(self, monkeypatch):
+        calls = []
+
+        def spy(circuit, config):
+            calls.append(config.input)
+            return run(circuit, config)
+
+        monkeypatch.setattr(engine, "run", spy)
+        cardinal_error(build_constant_depth(2), NoiseModel.device_medians())
+        assert calls == [inp for _, inp in CARDINAL_INPUTS]
 
 
 class TestRunExactNoiseless:
