@@ -155,8 +155,7 @@ def cmd_simulate(args) -> int:
         config = RunConfig(
             input=inp, noise=noise, mode=args.mode, shots=args.shots, seed=args.seed
         )
-    with _config_errors(CeilingError):
-        result = run(circuit, config)
+    result = run(circuit, config)
     fid = output_fidelity(result, inp)
     jx = joint_x_expectation(result)
     header = _header(

@@ -4,7 +4,7 @@ trajectory sampling.
 All three execute one walk of the circuit (``_walk``), which resolves every
 operation's register positions, noise sites and readout confusion in one
 place, and keep reported bits as boolean arrays (one row per branch, shot
-or outcome) from which ``feedforward.recovery_indices`` picks each recovery.
+or fault) from which ``feedforward.recovery_indices`` picks each recovery.
 
 Every operation of a circuit that ``build_circuit`` makes is Clifford after
 the input pulse and all noise is Pauli, after the CHP tableau (Aaronson &
@@ -17,17 +17,19 @@ and each gate, fault, readout flip and recovery (physical for feedforward,
 a recorded ``PauliFrame`` for frame update) updates them in one step.
 
 ``run_pauli`` is the exact engine for those circuits, and ``run`` sends
-them to it. It walks one frame per fault (each non-identity Pauli of a
-depolarizing site, each readout flip) and XOR-convolves the faults'
-output cells (x, s) into the law, batched over the reported outcomes.
+them to it, at any n. Fidelity and joint-X read only whether x is 0...0,
+1...1 or neither, and s. In the difference bits d_q = x_q ^ x_(q+1) each
+fault flips at most two adjacent d bits, so one walk tables every fault
+as independent flips and a left-to-right scan over the d bits gives that
+law exactly, in time linear in the faults.
 
 ``run_exact`` walks a density matrix (statevector when noiseless) through
 every measurement branch (true outcome times reported outcome under
 readout confusion), applies the conditional recovery of the reported bits
 and averages the surviving output states. All live branches are stacked
 into one batched state, so each step is one kernel call across every
-branch. It runs any circuit, and it is the oracle the law is tested
-against.
+branch. It runs any circuit up to a qubit ceiling, and it is the oracle the
+law is tested against.
 
 ``run_trajectory`` samples the same model: each shot is its noiseless
 output (a known Pauli on |t>) times a sampled frame. A shot keeps its
@@ -35,13 +37,18 @@ output Pauli, never 2^n amplitudes; the metrics read its bits.
 """
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import (
+    FAMILY_UNITARY,
     Circuit,
     DecoupleOp,
     FrameMarkOp,
@@ -50,7 +57,8 @@ from .circuits import (
     Operation,
     PrepareInputOp,
     RecoverOp,
-    build_circuit,
+    build_constant_depth,
+    build_unitary,
     idle_events,
 )
 from .feedforward import PauliFrame, recovery_indices
@@ -61,6 +69,7 @@ from .noise import (
     depolarizing_sample_prob,
     noisy_readouts,
     sample_pauli_errors,
+    sample_site_errors,
 )
 from .states import (
     CARDINAL_INPUTS,
@@ -125,16 +134,20 @@ class RunResult:
     renormalized what remained: 0 for a Pauli law, which drops nothing, and
     None for trajectory runs.
 
-    ``pauli_law`` (set by ``run_pauli`` only) has shape (2^n, 2): entry
-    [x, k] is the probability that the output is X^x Z^z on the ideal state
-    with |z| of parity k, x in register order with output 0 most significant.
+    ``pauli_law`` (set by ``run_pauli`` only) has shape (3, 2): entry [i, k]
+    is the probability that the output is X^x Z^z on the ideal state with
+    |z| of parity k, and x = 0...0 (i = 0), x = 1...1 (i = 1) or any other
+    x (i = 2). Such a law result, like a trajectory result, has
+    ``output_state`` None (``run_exact`` gives the dense state), and its
+    ``histogram`` is a read-only mapping that computes each probability on
+    access and yields its keys in sorted order.
     """
 
     family: str
     n_outputs: int
     duration_ns: float
     output_state: DensityState | None
-    histogram: dict[str, float]
+    histogram: Mapping[str, float]
     shots: int | None = None
     records: list[ShotRecord] | None = None
     branches: list[tuple[str, float, PureState]] | None = None
@@ -181,24 +194,38 @@ class _Noise:
     p: float
 
 
+@dataclass(frozen=True)
+class _Idle:
+    """The idle slots of one layer: a one-qubit depolarizing site of
+    probability ``probs[i]`` on each of ``qubits[i]``."""
+
+    qubits: tuple[int, ...]
+    probs: tuple[float, ...]
+
+
 def _walk(circuit: Circuit, config: RunConfig):
     """The steps that every engine executes, in order, as (op, positions, arg).
 
     ``op`` is an operation of the circuit (decoupling pulses, simulated as
-    identity, are left out) or a ``_Noise`` site: with noise, one follows
-    every gate and the input pulse, and each layer ends with one per idle
-    slot. ``positions`` are the qubits' axes in the exact engine's register,
-    which drops each qubit when it is measured. ``arg`` is a measurement's
-    readout confusion (perfect when noiseless) or the depolarizing
-    probability after each recovery pulse (None unless ``noisy_recovery``).
+    identity, are left out), a ``_Noise`` site or an ``_Idle`` step: with
+    noise, a site follows every gate and the input pulse, and a layer with
+    idle slots ends with one step for all of them. ``positions`` are the
+    qubits' axes in the exact engine's register, which drops each qubit when
+    it is measured. ``arg`` is a measurement's readout confusion (perfect
+    when noiseless) or the depolarizing probability after each recovery
+    pulse (None unless ``noisy_recovery``).
     """
     noise = config.noise
     recovery_p = noise.single_qubit_depol if noise is not None and config.noisy_recovery else None
-    idle: dict[int, list[_Noise]] = {}
+    idle: dict[int, list[tuple[int, float]]] = {}
+    idle_p = functools.cache(lambda duration: noise.idle_probability(duration * 1e-9))
     for layer_idx, qubit, duration in idle_events(circuit) if noise is not None else ():
-        site = _Noise((qubit,), noise.idle_probability(duration * 1e-9))
-        idle.setdefault(layer_idx, []).append(site)
-    position = {q: q for q in range(circuit.qubit_count)}
+        idle.setdefault(layer_idx, []).append((qubit, idle_p(duration)))
+    measured: list[int] = []  # sorted
+
+    def axes(qubits) -> tuple[int, ...]:  # each index less the measured qubits below it
+        return tuple(q - bisect.bisect(measured, q) for q in qubits)
+
     for layer_idx, layer in enumerate(circuit.layers):
         for op in layer.ops:
             if not isinstance(op, Operation):
@@ -206,11 +233,10 @@ def _walk(circuit: Circuit, config: RunConfig):
             if isinstance(op, DecoupleOp):
                 continue
             qubits = op.targets if isinstance(op, GateOp) else (op.qubit,)
-            pos = tuple(position[q] for q in qubits)
+            pos = axes(qubits)
             if isinstance(op, MeasureOp):
                 yield op, pos, ConfusionMatrix() if noise is None else noise.confusion_for(op.qubit)
-                del position[op.qubit]
-                position = {q: i for i, q in enumerate(position)}
+                bisect.insort(measured, op.qubit)
             elif isinstance(op, RecoverOp):
                 yield op, pos, recovery_p
             elif isinstance(op, FrameMarkOp):
@@ -220,8 +246,9 @@ def _walk(circuit: Circuit, config: RunConfig):
                 if noise is not None:
                     p = noise.two_qubit_depol if len(qubits) == 2 else noise.single_qubit_depol
                     yield _Noise(qubits, p), pos, None
-        for site in idle.get(layer_idx, ()):
-            yield site, (position[site.qubits[0]],), None
+        if layer_idx in idle:
+            qubits, probs = zip(*idle[layer_idx])
+            yield _Idle(qubits, probs), axes(qubits), None
 
 
 def _members(state: PureState | DensityState) -> np.ndarray:
@@ -279,6 +306,9 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
     for op, pos, arg in _walk(circuit, config):
         if isinstance(op, _Noise):
             apply_depolarizing(state, pos, op.p)
+        elif isinstance(op, _Idle):
+            for q, p in zip(pos, op.probs):
+                apply_depolarizing(state, (q,), p)
         elif isinstance(op, GateOp):
             state.apply_gate(op, pos)
         elif isinstance(op, PrepareInputOp):
@@ -360,120 +390,270 @@ def _recover(state, groups, q: int, p: float | None) -> None:
 
 def run_pauli(circuit: Circuit, config: RunConfig) -> RunResult:
     """Exact run of a circuit that ``build_circuit`` makes (any other raises
-    ValueError), as the law of the Pauli on the ideal output |t>.
+    ValueError), as the law of the Pauli on the ideal output |t>, at any n.
 
-    One walk carries a Pauli frame per fault: each non-identity Pauli of a
-    depolarizing site, with probability p/4^k, and each readout flip. Its
-    output Pauli, times the recovery of the reported bits it flips, gives
-    its cell (x, s) of the law. The noiseless bits are uniform whatever the
-    input, so the true bits are too, independent of the faults, and each
-    reported bit is 1 with probability (p10 + 1 - p01)/2. The law is
-    batched over every row r of reported bits, weighted P(r): a row's
-    readout flips follow their law given r, and with ``noisy_recovery``
-    the site after each recovery pulse counts once per pulse that r fires.
-    The pulses of a recovery multiply to a Pauli, so they leave every
-    frame's bits as they are, and a depolarizing site commutes with them.
+    The noiseless bits are uniform whatever the input, so the true bits are
+    too, independent of the faults, and each reported bit r_j is 1 with
+    probability (p10 + 1 - p01)/2, independently: the histogram is that
+    product. A fault acts through its output Pauli times the recovery of
+    the reported bits it flips, and a k-qubit depolarizing site of p is each
+    of its 4^k - 1 Paulis applied independently with probability
+    (1 - (1 - p)^(1 / (2 4^(k-1)))) / 2. A readout flip has its law given
+    r_j, and with ``noisy_recovery`` the site after each recovery pulse
+    counts once per pulse that r fires; the pulses of a recovery multiply to
+    a Pauli, so they leave every frame's bits as they are, and a
+    depolarizing site commutes with them. See ``_scan`` for the law.
     """
     _check_built(circuit)
     return _run_law(circuit, config)
 
 
-def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
-    """``run_pauli`` of a circuit that ``_check_built`` accepted."""
-    ceiling = PURE_QUBIT_CEILING if config.noise is None else DENSITY_QUBIT_CEILING
-    if circuit.qubit_count > ceiling:
-        raise CeilingError(
-            f"{circuit.qubit_count} qubits exceed the {ceiling}-qubit exact ceiling"
-        )
-    n, width = circuit.n_outputs, circuit.measure_count
-    steps = list(_walk(circuit, config))
-    counts = [_fault_count(op, arg) for op, _, arg in steps]
-    x = np.zeros((sum(counts), circuit.qubit_count), dtype=bool)
-    z = np.zeros_like(x)
-    flips = np.zeros((len(x), width), dtype=bool)  # the reported bits each fault flips
-    sites, start = [], 0
-    for (op, _, arg), count in zip(steps, counts):
-        rows = slice(start, start + count)
-        start += count
-        if count:
-            sites.append((rows, op, arg))
-        if isinstance(op, GateOp):
-            _conjugate(x, z, op)
-        elif isinstance(op, MeasureOp):
-            flips[:, op.column] = x[:, op.qubit]
-            flips[rows, op.column] = True
-        elif count:  # a depolarizing site, or the one after a recovery's pulses
-            qubits = op.qubits if isinstance(op, _Noise) else (op.qubit,)
-            paulis = np.arange(1, count + 1)  # 2 bits per qubit, x then z
-            for j, q in enumerate(qubits):
-                x[rows, q] = (paulis >> 2 * j) & 1
-                z[rows, q] = (paulis >> 2 * j + 1) & 1
-    x, z = _output_frames(circuit, x, z, flips)
-    cells = 2 * (x @ (1 << np.arange(n - 1, -1, -1))) + (np.count_nonzero(z, axis=1) & 1)
+#: _PARITY[u, v]: whether a flip of the 4 scan bits v (bit 0 the difference
+#: bit being closed, bit 1 the next one, bit 2 x_1, bit 3 the Z parity)
+#: changes the sign of the character u.
+_PARITY = np.array([[bin(u & v).count("1") % 2 for v in range(16)] for u in range(16)], dtype=bool)
+_HADAMARD = 1.0 - 2.0 * _PARITY
 
-    reported = ((np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(bool)
-    weights = np.ones(len(reported))
-    law = np.zeros((len(reported), 2 ** (n + 1)))
-    law[:, 0] = 1.0
-    for rows, op, arg in sites:
-        faults = cells[rows]
-        if isinstance(op, _Noise):
-            law = _convolve(law, faults, np.full(len(faults), op.p / 4 ** len(op.qubits)))
+
+def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
+    """``run_pauli`` of a circuit that ``_check_built`` accepted.
+
+    One walk tables the faults in frame arrays X and Z with one row per
+    qubit and one column per fault, and the reported bits each fault flips. An independent fault has the contrast 1 - 2 P(fault);
+    a readout flip and a recovery pulse's fault depend on the reported bits,
+    so they are kept to the scan step of their pair and output.
+    """
+    steps = list(_walk(circuit, config))
+    total = sum(_fault_count(op, arg) for op, _, arg in steps)  # at most this many columns
+    x = np.zeros((circuit.qubit_count, total), dtype=bool)
+    z = np.zeros_like(x)
+    flips = np.zeros((circuit.measure_count, total), dtype=bool)
+    contrast = np.ones(total)
+    fixed = np.full(total, -1)  # the scan step of a fault that depends on the reported bits
+    pulse = np.zeros(total, dtype=bool)  # the faults of a noisy recovery's pulses
+    open_site = np.full(circuit.qubit_count, -1)  # see _add_one_qubit_sites
+    outcomes, readouts, start = [], [], 0
+    for op, _, arg in steps:
+        if isinstance(op, GateOp):
+            _conjugate(x.T, z.T, op)
+            open_site[list(op.targets)] = -1
         elif isinstance(op, MeasureOp):
-            bit = reported[:, op.column]
-            prob = np.where(bit, arg.p10 + 1.0 - arg.p01, arg.p01 + 1.0 - arg.p10) / 2.0
-            flip = np.where(bit, arg.p10, arg.p01) / 2.0  # P(r_j, flipped)
-            weights *= prob
-            law = _convolve(law, faults, np.divide(flip, prob, out=np.zeros_like(flip),
-                                                   where=prob > 0.0)[:, None])
-        else:
-            for value, members in _recovery_groups(reported, op):
-                for _ in _recovery_pulses(value, op.qubit):
-                    law[members] = _convolve(law[members], faults, np.full(3, arg / 4.0))
-    pauli_law = (weights @ law).reshape(2**n, 2)
-    kept = weights > 0.0
+            flips[op.column] = x[op.qubit]
+            flips[op.column, start] = True
+            fixed[start] = op.slot
+            outcomes.append((op.column, (arg.p01 + 1.0 - arg.p10) / 2.0,
+                             (arg.p10 + 1.0 - arg.p01) / 2.0))
+            readouts.append((start, op, arg))
+            open_site[op.qubit] = -1
+            start += 1
+        elif isinstance(op, _Noise):  # after a gate, so it never joins an open site
+            width = len(op.qubits)
+            _add_faults(x, z, start, op.qubits)
+            contrast[start:start + 4**width - 1] = (1.0 - op.p) ** (0.5 / 4 ** (width - 1))
+            if width == 1:
+                open_site[op.qubits] = start
+            start += 4**width - 1
+        elif isinstance(op, _Idle):
+            start = _add_one_qubit_sites(x, z, contrast, open_site, start, op.qubits, op.probs)
+        elif isinstance(op, RecoverOp) and arg is not None:  # the site after each pulse
+            _add_faults(x, z, start, (op.qubit,))
+            rows = slice(start, start + 3)
+            contrast[rows] = math.sqrt(1.0 - arg)
+            fixed[rows] = op.output_index - 1
+            pulse[rows] = True
+            start += 3
+    x, z, flips = x[:, :start], z[:, :start], flips[:, :start]
+    contrast, fixed, pulse = contrast[:start], fixed[:start], pulse[:start]
+    step, code = _fault_codes(circuit, x, z, flips, fixed)
+    del x, z, flips
     return RunResult(
         family=circuit.family,
-        n_outputs=n,
+        n_outputs=circuit.n_outputs,
         duration_ns=circuit.duration_ns,
-        output_state=_law_state(pauli_law, config.input),
-        histogram=dict(zip(_bit_strings(reported[kept]), weights[kept].tolist())),
+        output_state=None,
+        histogram=_OutcomeLaw(outcomes),
         input=config.input,
         pruned_mass=0.0,
-        pauli_law=pauli_law,
+        pauli_law=_scan(circuit.n_outputs, step, code, contrast, fixed < 0, pulse, readouts),
     )
 
 
 def _fault_count(op, arg) -> int:
-    """Fault frames of one step of the walk: the non-identity Paulis of a
-    depolarizing site (the site of noisy recovery pulses counts once), or
-    the flip of a readout."""
+    """Fault columns of one step of the walk: the non-identity Paulis of a
+    depolarizing site or of each idle slot (the site of noisy recovery
+    pulses counts once), or the flip of a readout."""
     if isinstance(op, _Noise):
         return 4 ** len(op.qubits) - 1
+    if isinstance(op, _Idle):
+        return 3 * len(op.qubits)
     if isinstance(op, MeasureOp):
         return 1
     return 3 if isinstance(op, RecoverOp) and arg is not None else 0
 
 
-def _convolve(law: np.ndarray, cells: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """XOR-convolve a site into every row of ``law``: fault i moves weight
-    from cell c to c ^ cells[i] with probability probs[..., i] (one value
-    per fault, or one row of them per row of ``law``); the rest stays."""
-    probs = np.broadcast_to(probs, (len(law), len(cells)))
-    shifted = law[:, np.arange(law.shape[1])[:, None] ^ cells]  # (rows, cells, faults)
-    return law * (1.0 - probs.sum(axis=1))[:, None] + np.einsum("rcf,rf->rc", shifted, probs)
+#: The X and Z bits, one row per qubit, of the non-identity Paulis of a site
+#: on 1 or 2 qubits (2 bits per qubit in the Pauli's index, x then z).
+_SITE_PAULIS = {k: [(np.arange(1, 4**k) >> bit) & 1 for bit in range(2 * k)] for k in (1, 2)}
 
 
-def _law_state(law: np.ndarray, inp: InputState) -> DensityState:
-    """Sum over cells (x, s) of the law times the projector onto a|x> + s b|~x>:
-    only the entries (x, x), (x, ~x), (~x, x) and (~x, ~x) are nonzero."""
-    a, b = inp.amplitudes()
-    total, signed = law.sum(axis=1), law[:, 0] - law[:, 1]
-    x = np.arange(len(law))
-    rho = np.zeros((len(law), len(law)), dtype=complex)
-    rho[x, x] = abs(a) ** 2 * total + abs(b) ** 2 * total[::-1]  # ~x is x reversed
-    rho[x, x[::-1]] = a * np.conj(b) * signed + np.conj(a) * b * signed[::-1]
-    return DensityState(rho, validate=False)
+def _add_faults(x: np.ndarray, z: np.ndarray, start: int, qubits) -> None:
+    """Set the X and Z bits of every non-identity Pauli of a site on
+    ``qubits`` in the fault columns from ``start`` on."""
+    bits = _SITE_PAULIS[len(qubits)]
+    cols = slice(start, start + len(bits[0]))
+    for j, q in enumerate(qubits):
+        x[q, cols] = bits[2 * j]
+        z[q, cols] = bits[2 * j + 1]
+
+
+def _add_one_qubit_sites(x, z, contrast, open_site, start: int, qubits, probs) -> int:
+    """Add a one-qubit depolarizing site of ``probs[i]`` on each ``qubits[i]``
+    and return the next free fault column.
+
+    ``open_site[q]`` is the first of the three columns of the last such site
+    on q, while no gate or readout has touched q since (else -1). Its faults
+    are then still X, Y and Z on q, so a new site there only multiplies their
+    contrasts; a site on any other qubit takes three new columns.
+    """
+    qubits = np.array(qubits)
+    c = np.sqrt(1.0 - np.array(probs))[:, None]
+    first = open_site[qubits]
+    joined = first >= 0
+    contrast[first[joined, None] + np.arange(3)] *= c[joined]
+    new = qubits[~joined, None]
+    cols = start + np.arange(3 * len(new)).reshape(-1, 3)
+    x[new, cols], z[new, cols] = _SITE_PAULIS[1]
+    contrast[cols] = c[~joined]
+    open_site[new[:, 0]] = cols[:, 0]
+    return start + cols.size
+
+
+def _fault_codes(circuit: Circuit, x: np.ndarray, z: np.ndarray, flips: np.ndarray,
+                 fixed: np.ndarray):
+    """Each fault's scan step and its 4 scan bits (see ``_PARITY``).
+
+    The output frame of a fault, times the recovery of its reported bits,
+    is written as difference bits d_1 ... d_(n-1), x_1 and the Z parity.
+    Step t closes d_t (d_0 and d_n are kept 0) with d_(t+1) pending; a fault
+    goes to the step of its lowest d bit unless ``fixed`` names one, and
+    must flip no d bit but those two.
+    """
+    n, faults = circuit.n_outputs, x.shape[1]
+    outputs = list(circuit.outputs)
+    xo = x[outputs]
+    parity = np.bitwise_xor.reduce(z[outputs], axis=0)
+    d = np.zeros((n + 1, faults), dtype=bool)
+    np.not_equal(xo[:-1], xo[1:], out=d[1:n])
+    x1 = xo[0]
+    # The recovery of each measured column alone, as output X and Z bits.
+    width = len(flips)
+    none = np.zeros((width, circuit.qubit_count), dtype=bool)
+    rx, rz = _output_frames(circuit, none, none, np.eye(width, dtype=bool))
+    for column, bits in enumerate(flips):
+        d[1 + np.flatnonzero(rx[column, :-1] != rx[column, 1:])] ^= bits
+    x1 ^= np.bitwise_xor.reduce(flips[rx[:, 0]], axis=0)
+    parity ^= np.bitwise_xor.reduce(flips[np.count_nonzero(rz, axis=1) & 1 == 1], axis=0)
+    step = np.where(fixed < 0, np.argmax(d, axis=0), fixed)
+    cols = np.arange(faults)
+    a, b = d[step, cols], d[step + 1, cols]
+    if not np.array_equal(np.count_nonzero(d, axis=0), a.astype(int) + b):
+        raise RuntimeError("a fault flips difference bits beyond two adjacent ones")
+    return step, a + 2 * b + 4 * x1 + 8 * parity
+
+
+def _scan(n: int, step: np.ndarray, code: np.ndarray, contrast: np.ndarray,
+          independent: np.ndarray, pulse: np.ndarray, readouts) -> np.ndarray:
+    """The (3, 2) law of x (0...0, 1...1, other) and the Z parity.
+
+    The scan's state is a probability over the 4 scan bits of the current
+    step, whether some closed d bit was 1 (the x = other row), and the
+    parity of the reported x bits so far, which picks each output's X
+    recovery (``recovery_indices``). Each step works in the Walsh-Hadamard
+    basis of the 4 bits, where every flip of contrast c multiplies each
+    character it changes by c: its independent faults, its pair's reported
+    bits r_x and r_z, weighted P(r) with their readout flip given r, and the
+    pulses of its output's noisy recovery (X when the parity is 1, three for
+    Z when r_z is 1). Then it closes its d bit.
+    """
+    group, site = (_step_characters(n, step[chosen], code[chosen], contrast[chosen])
+                   for chosen in (independent, pulse))
+    keep, move, zsum = np.ones((n, 16)), np.zeros((n, 16)), np.ones((n, 16))
+    for row, op, conf in readouts:
+        flipped = _PARITY[code[row]]
+        by_bit = ((conf.p01 + 1.0 - conf.p10) / 2.0 - np.where(flipped, conf.p01, 0.0),
+                  (conf.p10 + 1.0 - conf.p01) / 2.0 - np.where(flipped, conf.p10, 0.0))
+        if op.role == "x":
+            keep[op.slot], move[op.slot] = by_bit
+        else:
+            zsum[op.slot] = by_bit[0] + by_bit[1] * site[op.slot] ** 3
+    power = np.stack([np.ones_like(site), site], axis=2)  # site^P for P = 0, 1
+    keep = (group * zsum * keep)[:, :, None] * power
+    move = (group * zsum * move)[:, :, None] * power
+    state = np.zeros(64)
+    state[0] = 1.0
+    for t in range(n):
+        spec = (_HADAMARD @ state.reshape(16, 4)).reshape(16, 2, 2)
+        spec = keep[t, :, None] * spec + move[t, :, None] * spec[:, :, ::-1]
+        state = _CLOSE @ spec.ravel()
+    state = state.reshape(16, 2, 2).sum(axis=2)
+    return np.array([state[[0, 8], 0], state[[4, 12], 0], state[[0, 8], 1]])
+
+
+def _closing() -> np.ndarray:
+    """The map from a step's spectrum back to probabilities that also closes
+    its d bit: mass not yet in the other row whose closing bit is 0 moves
+    the next d bit into the closing slot, and the rest joins the other row,
+    keeping only its Z parity and r_x parity.
+
+    A scan state has 64 entries, 4 v + 2 g + P: v the 4 scan bits, g whether
+    x is in the other row, P the parity of the reported x bits so far; its
+    spectrum is indexed alike, with the character u in place of v.
+    """
+    close = np.zeros((64, 64))
+    for v, other, parity in itertools.product(range(16), (0, 1), (0, 1)):
+        kept = not other and not v & 1
+        w = (v & 12) | (v >> 1 & 1) if kept else v & 8
+        close[4 * w + 2 * (not kept) + parity, 2 * other + parity::4] += _HADAMARD[v] / 16.0
+    return close
+
+
+_CLOSE = _closing()
+
+
+def _step_characters(n: int, step, code, contrast) -> np.ndarray:
+    """Per step and character, the product of the contrasts of the faults
+    that change it."""
+    per_code = np.ones(16 * n)
+    np.multiply.at(per_code, 16 * step + code, contrast)
+    return np.where(_PARITY, per_code.reshape(n, 1, 16), 1.0).prod(axis=2)
+
+
+class _OutcomeLaw(Mapping):
+    """The reported bits of a law run: a read-only mapping from each key of
+    nonzero probability, in sorted order, to its probability, a product of
+    one factor per measurement in walk order computed on access."""
+
+    def __init__(self, factors):
+        self._factors = factors  # (column, P(0), P(1)) per measurement
+        self._digits = [[d for d, p in zip("01", probs) if p > 0.0]
+                        for _, *probs in sorted(factors)]
+
+    def __getitem__(self, key):
+        if not isinstance(key, str) or len(key) != len(self._factors):
+            raise KeyError(key)
+        prob = 1.0
+        for column, *probs in self._factors:
+            digit = "01".find(key[column])
+            if digit < 0 or probs[digit] <= 0.0:
+                raise KeyError(key)
+            prob *= probs[digit]
+        return prob
+
+    def __iter__(self):
+        return map("".join, itertools.product(*self._digits))
+
+    def __len__(self):
+        return math.prod(len(d) for d in self._digits)
 
 
 def _output_frames(circuit: Circuit, x: np.ndarray, z: np.ndarray, bits: np.ndarray):
@@ -514,6 +694,11 @@ def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     for op, _, arg in _walk(circuit, config):
         if isinstance(op, _Noise):
             _add_errors(x, z, op.qubits, op.p, rng)
+        elif isinstance(op, _Idle):
+            cols = list(op.qubits)
+            ex, ez = sample_site_errors(shots, depolarizing_sample_prob(np.array(op.probs), 1), rng)
+            x[:, cols] ^= ex
+            z[:, cols] ^= ez
         elif isinstance(op, GateOp):
             _conjugate(x, z, op)
         elif isinstance(op, MeasureOp):
@@ -551,6 +736,33 @@ def _check_built(circuit: Circuit) -> None:
     on its qubit, and the uniform outcomes and output states they rest on
     hold for the circuits ``build_circuit`` makes, so any other is refused.
     """
+    n = circuit.n_outputs
+    if n >= 2 and circuit == _built(circuit.family, n, circuit.timing):
+        return
+    _check_frame_ops(circuit)
+    raise ValueError(
+        "trajectory mode samples only circuits equal to "
+        "build_circuit(family, n_outputs, timing); use exact mode"
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _built(family: str, n: int, timing) -> Circuit:
+    """``build_circuit(family, n, timing)``, checked by ``_check_frame_ops``
+    once and kept for later runs. It calls the family's builder directly, so
+    the ``build_circuit`` calls that a traced benchmark pass counts do not
+    depend on what the cache holds."""
+    if family == FAMILY_UNITARY:
+        circuit = build_unitary(n, timing)
+    else:
+        circuit = build_constant_depth(n, timing, family)
+    _check_frame_ops(circuit)
+    return circuit
+
+
+def _check_frame_ops(circuit: Circuit) -> None:
+    """Raise unless every gate is Clifford and each input pulse comes first
+    on its qubit."""
     touched: set[int] = set()
     for op in circuit.operations():
         if not isinstance(op, Operation):
@@ -560,12 +772,6 @@ def _check_built(circuit: Circuit) -> None:
         if isinstance(op, GateOp) and op.angle is not None:
             _quarter_turns(op)
         touched.update(op.targets if isinstance(op, GateOp) else (op.qubit,))
-    n = circuit.n_outputs
-    if n < 2 or circuit != build_circuit(circuit.family, n, circuit.timing):
-        raise ValueError(
-            "trajectory mode samples only circuits equal to "
-            "build_circuit(family, n_outputs, timing); use exact mode"
-        )
 
 
 def _quarter_turns(gate: GateOp) -> int:
@@ -649,9 +855,9 @@ def _output_paulis(result: RunResult):
     if result.input is None:
         raise ValueError("a Pauli-law or trajectory result needs its input to evaluate it")
     if result.pauli_law is not None:
-        x = np.repeat(np.arange(len(result.pauli_law)), 2)
-        sign = np.tile([1.0, -1.0], len(result.pauli_law))
-        return x == 0, x == x[-1], sign, result.pauli_law.ravel(), result.input.amplitudes()
+        row = np.repeat([0, 1, 2], 2)  # x = 0...0, 1...1, other
+        sign = np.tile([1.0, -1.0], 3)
+        return row == 0, row == 1, sign, result.pauli_law.ravel(), result.input.amplitudes()
     records = result.records
     x = np.array([r.pauli.x_flips for r in records], dtype=bool)
     x ^= np.array([r.frame.x_flips for r in records], dtype=bool)

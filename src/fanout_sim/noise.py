@@ -246,6 +246,26 @@ def sample_pauli_errors(
     return x, z
 
 
+def sample_site_errors(
+    shots: int, probs: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent one-qubit errors for many shots in one draw: on site j,
+    the identity with probability 1 - probs[j], else a uniform X, Y or Z.
+
+    Returns the X and Z bits as two boolean arrays of shape (shots, sites).
+    """
+    probs = np.asarray(probs, dtype=float)
+    if np.any((probs < 0.0) | (probs > 1.0)):
+        raise ValueError(f"error probabilities {probs} outside [0, 1]")
+    hit = rng.random((shots, len(probs))) < probs
+    pauli = rng.integers(1, 4, size=np.count_nonzero(hit))  # x bit, then z bit
+    x = np.zeros(hit.shape, dtype=bool)
+    z = np.zeros(hit.shape, dtype=bool)
+    x[hit] = pauli & 1
+    z[hit] = pauli >> 1
+    return x, z
+
+
 def sample_pauli_error(qubits, p: float, rng: np.random.Generator) -> tuple[str, ...]:
     """Sample an error: all-identity with probability 1-p, else a uniform
     non-identity Pauli on the targets."""

@@ -117,6 +117,16 @@ class TestSimulateCommand:
         assert float(rows[0]["fidelity"]) == pytest.approx(1.0, abs=1e-9)
         assert float(rows[0]["duration_ns"]) == 560.0
 
+    def test_exact_beyond_the_register_ceiling(self, tmp_path):
+        """n = 5 is a 13-qubit register, past the dense engine's ceiling; the
+        exact law of a built circuit has none, and lists all 4^4 outcomes."""
+        args = ["simulate", "--n", "5", "--noise", "default", "--out", str(tmp_path)]
+        assert main(args) == 0
+        rows = read_rows(tmp_path / "simulate.csv", ["fidelity", "joint_x", "duration_ns"])
+        assert 0.0 < float(rows[0]["fidelity"]) < 1.0
+        histogram = (tmp_path / "result.txt").read_text().split("histogram:\n")[1].splitlines()
+        assert len(histogram) == 4**4
+
     def test_trajectories_beyond_the_register_ceiling(self, tmp_path):
         """n = 8 is a 22-qubit register; trajectory mode caps only the outputs."""
         args = ["simulate", "--mode", "trajectories", "--n", "8", "--shots", "50"]
@@ -300,14 +310,13 @@ class TestErrorBoundary:
         "args",
         [
             ["simulate", "--n", "1", "--noise", "none"],
-            ["simulate", "--n", "5", "--noise", "default"],
             ["simulate", "--n", "2", "--mode", "trajectories", "--shots", "0"],
             ["simulate", "--n", "2", "--input", "theta=9"],
             ["sweep", "--n", "2", "--sweep", "theta", "--phi", "7", "--noise", "none"],
             ["tomo", "--n", "5", "--noise", "default"],
             ["model", "--rates", "mu=-1"],
         ],
-        ids=["n1", "exact-ceiling", "zero-shots", "theta", "phi", "tomo-ceiling", "rates"],
+        ids=["n1", "zero-shots", "theta", "phi", "tomo-ceiling", "rates"],
     )
     def test_bad_configuration_exits_2(self, args, tmp_path, capsys):
         assert main(args + ["--out", str(tmp_path)]) == 2

@@ -154,15 +154,26 @@ def dense_run(family, n, label, noise, noisy_recovery):
     return run_exact(build_circuit(family, n), config)
 
 
+def _law_corners(law: np.ndarray, inp: InputState) -> np.ndarray:
+    """The entries (0...0 | 1...1)^2 of the output state that a (3, 2) law
+    fixes: |a|^2 and |b|^2 weigh the rows x = 0...0 and 1...1, and the
+    coherences carry their Z parity, s = +1 in column 0 and -1 in column 1."""
+    a, b = inp.amplitudes()
+    total, signed = law.sum(axis=1), law[:, 0] - law[:, 1]
+    diagonal = abs(a) ** 2 * total[:2] + abs(b) ** 2 * total[1::-1]
+    coherence = a * np.conj(b) * signed[0] + np.conj(a) * b * signed[1]
+    return np.array([[diagonal[0], coherence], [np.conj(coherence), diagonal[1]]])
+
+
 @pytest.mark.parametrize("label", list(LAW_INPUTS))
 @pytest.mark.parametrize("mode", list(LAW_MODES))
 @pytest.mark.parametrize("family,n", LAW_CIRCUITS)
 def test_pauli_law_matches_dense_oracle(family, n, mode, label):
-    """``run_pauli`` against ``run_exact``: fidelity, joint-X, every entry of
-    the output state and every histogram value (a missing key counts as 0)
-    agree within twice the probability the oracle pruned and renormalized
-    away, plus 1e-12. The strong mode checks the law of reported bits under
-    p01 != p10 against the oracle's branch weights."""
+    """``run_pauli`` against ``run_exact``: fidelity, joint-X, the four
+    corner entries of the output state and every histogram value (a missing
+    key counts as 0) agree within twice the probability the oracle pruned
+    and renormalized away, plus 1e-12. The strong mode checks the law of
+    reported bits under p01 != p10 against the oracle's branch weights."""
     noise, noisy_recovery = LAW_MODES[mode]
     inp = LAW_INPUTS[label]
     # Only feedforward circuits carry recovery pulses to make noisy.
@@ -172,18 +183,60 @@ def test_pauli_law_matches_dense_oracle(family, n, mode, label):
     tol = 2.0 * dense.pruned_mass + 1e-12
     assert abs(output_fidelity(law, inp) - output_fidelity(dense, inp)) <= tol
     assert abs(joint_x_expectation(law) - joint_x_expectation(dense)) <= tol
-    assert np.abs(law.output_state.matrix - dense.output_state.matrix).max() <= tol
+    corners = np.ix_([0, -1], [0, -1])
+    assert np.abs(_law_corners(law.pauli_law, inp) - dense.output_state.matrix[corners]).max() <= tol
+    assert law.pauli_law.sum() == pytest.approx(1.0, abs=1e-12)
     for key in law.histogram.keys() | dense.histogram.keys():
         assert abs(law.histogram.get(key, 0.0) - dense.histogram.get(key, 0.0)) <= tol, key
+
+
+@pytest.mark.parametrize("noisy_recovery", [False, True], ids=["clean", "noisy_recovery"])
+@pytest.mark.parametrize("n", [8, 32, 200])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pauli_law_matches_trajectories_past_the_dense_ceiling(family, n, noisy_recovery):
+    """Past the oracle's ceiling, the law's fidelity and joint-X lie within
+    4 standard errors (the Bhatia-Davis bounds of
+    ``assert_within_five_standard_errors``) of a seeded trajectory run, plus
+    the range term of Bernstein's inequality at the same confidence,
+    (2/3) 8 b / shots for per-shot values within b of the mean. That term
+    keeps the bound valid where a good shot is rare: at n = 200 the
+    fidelity is about 2e-5, and one shot in 2000 moves the mean by 5e-4."""
+    inp, shots = ORACLE_INPUTS["theta=1.0,phi=0.5"], 2000
+    circuit = build_circuit(family, n)
+    config = RunConfig(input=inp, noise=NoiseModel.device_medians(), noisy_recovery=noisy_recovery)
+    law = run_pauli(circuit, config)
+    sampled = run_trajectory(circuit, dataclasses.replace(config, mode="trajectories",
+                                                          shots=shots, seed=n))
+    assert law.output_state is None
+    assert law.pauli_law.sum() == pytest.approx(1.0, abs=1e-12)
+    fid, jx = output_fidelity(law, inp), joint_x_expectation(law)
+    fid_bound = 4 * math.sqrt(fid * (1 - fid) / shots) + 16 / 3 / shots
+    jx_bound = 4 * math.sqrt((1 - jx * jx) / shots) + 2 * 16 / 3 / shots
+    assert abs(output_fidelity(sampled, inp) - fid) <= fid_bound
+    assert abs(joint_x_expectation(sampled) - jx) <= jx_bound
 
 
 class TestRunDispatch:
     def test_built_circuit_runs_as_a_pauli_law(self):
         config = RunConfig(input=PLUS, noise=NoiseModel.device_medians())
         result = run(build_constant_depth(3), config)
-        assert result.pauli_law.shape == (2**3, 2)
+        assert result.pauli_law.shape == (3, 2)
+        assert result.output_state is None
         assert result.branches is None
         assert result.pruned_mass == 0.0
+
+    def test_law_histogram_is_a_product_computed_per_key(self):
+        """At n = 200 the 4^199 outcomes are never listed: the first key in
+        sorted order is all zeros, and each key's probability is the product
+        of its bits' P(r_j), (p01 + 1 - p10)/2 for 0 and (p10 + 1 - p01)/2 for 1."""
+        noise = NoiseModel(confusion=ConfusionMatrix(p01=0.1, p10=0.02))
+        histogram = run(build_constant_depth(200), RunConfig(input=PLUS, noise=noise)).histogram
+        zeros = next(iter(histogram))
+        assert zeros == "0" * 398
+        p0, p1 = (0.1 + 1.0 - 0.02) / 2.0, (0.02 + 1.0 - 0.1) / 2.0
+        assert histogram[zeros] == pytest.approx(p0**398, rel=1e-12)
+        assert histogram["1" + zeros[1:]] == pytest.approx(p0**397 * p1, rel=1e-12)
+        assert "2" + zeros[1:] not in histogram and zeros[1:] not in histogram
 
     @pytest.mark.parametrize("gate", [GateOp("H", (0,)), GateOp("RX", (0,), 0.3)], ids=["H", "RX"])
     @pytest.mark.parametrize("noise", [None, NoiseModel.device_medians()], ids=["noiseless", "noisy"])

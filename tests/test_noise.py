@@ -16,6 +16,7 @@ from fanout_sim.noise import (
     noisy_readouts,
     sample_pauli_error,
     sample_pauli_errors,
+    sample_site_errors,
 )
 from fanout_sim.states import DensityState, GateOp, PAULI_MATRICES, PureState
 
@@ -113,6 +114,25 @@ class TestSamplePauliError:
         assert np.all(np.abs(counts[1:] - expected) < 5 * math.sqrt(expected))
         none_x, none_z = sample_pauli_errors(100, 2, 0.0, rng)
         assert not none_x.any() and not none_z.any()
+
+    def test_site_errors_are_independent_per_site(self):
+        """Each site hits at its own rate, with X, Y and Z equally likely,
+        and two sites hit together at the product of their rates."""
+        rng = np.random.default_rng(10)
+        draws, probs = 200_000, np.array([0.0, 0.3, 1.0, 0.3])
+        x, z = sample_site_errors(draws, probs, rng)
+        assert x.shape == z.shape == (draws, 4)
+        hit = x | z
+        for site, p in enumerate(probs):
+            assert abs(hit[:, site].mean() - p) <= 5 * math.sqrt(p * (1 - p) / draws)
+        both = (hit[:, 1] & hit[:, 3]).mean()
+        assert abs(both - 0.09) < 5 * math.sqrt(0.09 * 0.91 / draws)
+        codes = x[:, 2] + 2 * z[:, 2]  # every draw hits site 2: 1 = X, 2 = Z, 3 = Y
+        counts = np.bincount(codes, minlength=4)
+        assert counts[0] == 0
+        assert np.all(np.abs(counts[1:] / draws - 1 / 3) < 5 * math.sqrt(2 / 9 / draws))
+        with pytest.raises(ValueError):
+            sample_site_errors(1, [1.5], rng)
 
     def test_trajectory_average_matches_channel(self):
         """Sampled Paulis at the converted rate reproduce apply_depolarizing."""

@@ -15,11 +15,13 @@ every configuration passes ``np.array_equal``.
 The grid: feedforward and pauli_frame at n = 2, 3, 4 and unitary at
 n = 3, 4, 9, each with four inputs, noiseless, with device-median noise,
 with device noise and ``noisy_recovery``, and (n <= 3) with strong noise and
-``noisy_recovery``. Each configuration is one exact run (output state,
-histogram, pruned mass and, when noiseless, every branch) and one seeded
-300-shot trajectory run (outcome keys, frames, histogram, and each shot's
-fidelity and joint-X, from one-record results through the tree's own
-``output_fidelity`` and ``joint_x_expectation``).
+``noisy_recovery``. Each configuration is one dense exact run (output
+state, histogram, pruned mass and, when noiseless, every branch), one exact
+run through ``run`` (the Pauli law of a built circuit: fidelity, joint-X and
+``pauli_law``) and one seeded 300-shot trajectory run (outcome keys,
+frames, histogram, and each shot's fidelity and joint-X, from one-record
+results through the tree's own ``output_fidelity`` and
+``joint_x_expectation``). Each engine's configurations are tallied apart.
 """
 from __future__ import annotations
 
@@ -89,6 +91,7 @@ def _run_grid() -> dict:
         RunConfig,
         joint_x_expectation,
         output_fidelity,
+        run,
         run_exact,
         run_trajectory,
     )
@@ -101,7 +104,8 @@ def _run_grid() -> dict:
         noise, noisy_recovery = _noise(mode), mode.endswith("noisy_recovery")
         name = f"{family} n={n} input={label} {mode}"
 
-        exact = run_exact(circuit, RunConfig(input=inp, noise=noise, noisy_recovery=noisy_recovery))
+        config = RunConfig(input=inp, noise=noise, noisy_recovery=noisy_recovery)
+        exact = run_exact(circuit, config)
         fields = {"output_state": exact.output_state.matrix,
                   "pruned_mass": np.array(exact.pruned_mass), **_histogram(exact)}
         if exact.branches is not None:
@@ -110,9 +114,15 @@ def _run_grid() -> dict:
             fields["branches.states"] = np.stack([s.amplitudes for _, _, s in exact.branches])
         results["exact " + name] = fields
 
-        config = RunConfig(input=inp, noise=noise, mode="trajectories", shots=SHOTS, seed=SEED,
-                           noisy_recovery=noisy_recovery)
-        traj = run_trajectory(circuit, config)
+        law = run(circuit, config)
+        results["law " + name] = {
+            "fidelity": np.array(output_fidelity(law, inp)),
+            "joint_x": np.array(joint_x_expectation(law)),
+            "pauli_law": law.pauli_law,
+        }
+
+        traj = run_trajectory(circuit, dataclasses.replace(
+            config, mode="trajectories", shots=SHOTS, seed=SEED))
         records = traj.records
         shots = [dataclasses.replace(traj, records=[r], shots=1) for r in records]
         results["trajectories " + name] = {
