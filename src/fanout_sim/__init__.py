@@ -27,6 +27,7 @@ from .engine import (
     output_fidelity,
     run,
     run_exact,
+    run_inputs,
     run_pauli,
     run_trajectory,
     target_state,
@@ -105,6 +106,7 @@ __all__ = [
     "recovery_ops",
     "run",
     "run_exact",
+    "run_inputs",
     "run_pauli",
     "run_trajectory",
     "sample_pauli_error",

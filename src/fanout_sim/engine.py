@@ -38,6 +38,7 @@ output Pauli, never 2^n amplitudes; the metrics read its bits.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import itertools
 import math
@@ -840,11 +841,31 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
     ``run_exact``."""
     if config.mode == "trajectories":
         return run_trajectory(circuit, config)
+    return _run_law(circuit, config) if _is_built(circuit) else run_exact(circuit, config)
+
+
+def run_inputs(circuit: Circuit, configs: list[RunConfig]) -> list[RunResult]:
+    """``run`` of each config, where the configs differ only in ``input``.
+
+    A Pauli law does not depend on the input (only the result's ``input``
+    field does), so exact runs of a circuit that ``build_circuit`` makes
+    share one law; otherwise each config goes to ``run``.
+    """
+    if any(dataclasses.replace(c, input=configs[0].input) != configs[0] for c in configs[1:]):
+        raise ValueError("run_inputs needs configs that differ only in input")
+    if not configs or configs[0].mode != "exact" or not _is_built(circuit):
+        return [run(circuit, c) for c in configs]
+    law = _run_law(circuit, configs[0])
+    return [dataclasses.replace(law, input=c.input) for c in configs]
+
+
+def _is_built(circuit: Circuit) -> bool:
+    """Whether ``_check_built`` accepts the circuit."""
     try:
         _check_built(circuit)
     except ValueError:
-        return run_exact(circuit, config)
-    return _run_law(circuit, config)
+        return False
+    return True
 
 
 def _output_paulis(result: RunResult):
@@ -897,11 +918,10 @@ def cardinal_error(
     circuit: Circuit, noise: NoiseModel | None = None, noisy_recovery: bool = False
 ) -> float:
     """Mean infidelity over the six cardinal input states."""
-    fidelities = []
-    for _, inp in CARDINAL_INPUTS:
-        config = RunConfig(input=inp, noise=noise, noisy_recovery=noisy_recovery)
-        result = run(circuit, config)
-        fidelities.append(output_fidelity(result, inp))
+    configs = [RunConfig(input=inp, noise=noise, noisy_recovery=noisy_recovery)
+               for _, inp in CARDINAL_INPUTS]
+    fidelities = [output_fidelity(result, result.input)
+                  for result in run_inputs(circuit, configs)]
     return 1.0 - sum(fidelities) / len(fidelities)
 
 

@@ -6,6 +6,10 @@ zero, iterating from the most negative, with each deficit redistributed
 uniformly over the remaining positive eigenvalues; the trace is then
 renormalized to one. Per-qubit readout confusion is inverted on the
 rotated-basis outcome frequencies before Pauli averaging.
+
+The outcome distributions of all 3^k settings, and the expectations of all
+4^k Pauli strings, come from one contraction of rho per qubit over that
+qubit's (row, column) axis pair, not from rotating or multiplying the state.
 """
 from __future__ import annotations
 
@@ -58,30 +62,51 @@ def settings(k: int) -> list[str]:
     return ["".join(s) for s in product("XYZ", repeat=k)]
 
 
-def _rotated_probabilities(state: DensityState, setting: str) -> np.ndarray:
-    rho = state.copy()
-    for q, letter in enumerate(setting):
-        if letter not in BASIS_ROTATIONS:
-            raise ValueError(f"invalid basis letter {letter!r}")
-        rho.apply_matrix(BASIS_ROTATIONS[letter], (q,))
-    probs = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
-    return probs / probs.sum()
+#: _OUTCOME_WEIGHTS[2 l + b, 2 i + j] = R[b, i] conj(R[b, j]) for the rotation
+#: R of basis letter l (X, Y, Z): the weight of a qubit's density entry
+#: (i, j) in the probability of its outcome b.
+_ROTATIONS = np.array([BASIS_ROTATIONS[letter] for letter in "XYZ"])
+_OUTCOME_WEIGHTS = (_ROTATIONS[..., :, None] * _ROTATIONS.conj()[..., None, :]).reshape(6, 4)
+
+#: _PAULI_WEIGHTS[l, 2 i + j] = P[j, i] for the Pauli of letter l (I, X, Y,
+#: Z): the weight of a qubit's density entry (i, j) in Tr(P rho).
+_PAULI_WEIGHTS = np.array([PAULI_MATRICES[letter].T.ravel() for letter in "IXYZ"])
+
+#: Letters to the bits of a Pauli string's X part and Z part (Y has both).
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
-def simulate_shots(
-    state: DensityState,
-    setting: str,
-    shots: int,
-    confusion: ConfusionMatrix | None,
-    rng: np.random.Generator,
+def _contract_pairs(state: DensityState, weights: np.ndarray) -> np.ndarray:
+    """One ``tensordot`` per qubit of ``weights`` (m x 4) over the qubit's
+    (row, column) axis pair in rho: shape (m,) * k."""
+    k = state.n
+    pairs = [axis for q in range(k) for axis in (q, k + q)]
+    t = state.matrix.reshape((2,) * (2 * k)).transpose(pairs).reshape((4,) * k)
+    for _ in range(k):  # each contracts the leading axis and appends its own
+        t = np.tensordot(t, weights, axes=([0], [1]))
+    return t
+
+
+def _rotated_distributions(state: DensityState) -> np.ndarray:
+    """Outcome distributions of every setting: one row per setting in the
+    order of ``settings``, one column per outcome with qubit 0 the most
+    significant bit."""
+    k = state.n
+    t = _contract_pairs(state, _OUTCOME_WEIGHTS).reshape((3, 2) * k)
+    t = t.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)])
+    probs = np.clip(t.real.reshape(3**k, 2**k), 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _sample(
+    probs: np.ndarray, shots: int, confusion: ConfusionMatrix | None, rng: np.random.Generator
 ) -> dict[str, int]:
-    """Sample readout bitstrings for one setting, with optional misassignment."""
+    """Counts of ``shots`` outcomes drawn from ``probs``, with optional
+    misassignment."""
     if shots < 1:
         raise ValueError("need at least one shot")
-    if len(setting) != state.n:
-        raise ValueError("setting length must match the state size")
-    k = state.n
-    probs = _rotated_probabilities(state, setting)
+    k = probs.size.bit_length() - 1
     outcomes = rng.choice(2**k, size=shots, p=probs)
     if confusion is not None:
         weights = 1 << np.arange(k - 1, -1, -1)  # qubit 0 is the most significant bit
@@ -93,14 +118,33 @@ def simulate_shots(
     return {format(v, f"0{k}b"): int(c) for v, c in zip(values, counts)}
 
 
+def simulate_shots(
+    state: DensityState,
+    setting: str,
+    shots: int,
+    confusion: ConfusionMatrix | None,
+    rng: np.random.Generator,
+) -> dict[str, int]:
+    """Sample readout bitstrings for one setting, with optional misassignment."""
+    if len(setting) != state.n:
+        raise ValueError("setting length must match the state size")
+    bad = set(setting) - set("XYZ")
+    if bad:
+        raise ValueError(f"invalid basis letter {min(bad)!r}")
+    row = settings(state.n).index(setting)
+    return _sample(_rotated_distributions(state)[row], shots, confusion, rng)
+
+
 def collect_tomogram(
     state: DensityState,
     shots: int,
     confusion: ConfusionMatrix | None,
     rng: np.random.Generator,
 ) -> TomogramData:
-    """Full tomogram: one counted dataset per setting."""
-    counts = {s: simulate_shots(state, s, shots, confusion, rng) for s in settings(state.n)}
+    """Full tomogram: one counted dataset per setting, sampled in the order
+    of ``settings`` as ``simulate_shots`` would."""
+    counts = {s: _sample(p, shots, confusion, rng)
+              for s, p in zip(settings(state.n), _rotated_distributions(state))}
     return TomogramData(counts=counts, shots=shots, confusion=confusion)
 
 
@@ -149,18 +193,19 @@ def linear_inversion(data: TomogramData) -> np.ndarray:
             sums[pauli] = sums.get(pauli, 0.0) + value
             hits[pauli] = hits.get(pauli, 0) + 1
 
+    # Each Pauli string has one nonzero entry per row: row i holds the phase
+    # (-i)^(#Y) (-1)^|i & z| in column i ^ x, for x the X/Y letters and z the
+    # Y/Z letters. Adding only those entries, string by string, gives each
+    # entry the sums of the dense (1/2^k) sum_P <P> P bit for bit.
     dim = 2**k
+    rows = np.arange(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     for pauli, total in sums.items():
-        rho += (total / hits[pauli]) * _pauli_matrix(pauli)
+        x = int(pauli.translate(_X_BITS), 2)
+        z = int(pauli.translate(_Z_BITS), 2)
+        phases = (-1j) ** pauli.count("Y") * np.where(np.bitwise_count(rows & z) & 1, -1, 1)
+        rho[rows, rows ^ x] += (total / hits[pauli]) * phases
     return rho / dim
-
-
-def _pauli_matrix(pauli: str) -> np.ndarray:
-    m = np.array([[1.0]], dtype=complex)
-    for letter in pauli:
-        m = np.kron(m, PAULI_MATRICES[letter])
-    return m
 
 
 def mle_project(matrix: np.ndarray) -> ReconstructionResult:
@@ -199,10 +244,8 @@ def reconstruct(data: TomogramData) -> ReconstructionResult:
 
 def pauli_table(rho: DensityState) -> dict[str, float]:
     """Exact expectation of every Pauli string, lexicographic order."""
-    return {
-        "".join(s): rho.expectation("".join(s))
-        for s in product("IXYZ", repeat=rho.n)
-    }
+    values = _contract_pairs(rho, _PAULI_WEIGHTS).real.ravel()
+    return {"".join(s): float(v) for s, v in zip(product("IXYZ", repeat=rho.n), values)}
 
 
 def split_by_ideal(

@@ -190,6 +190,18 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    def test_exact_constant_depth_sweep_beyond_the_register_ceiling(self, tmp_path):
+        """n = 6 is 16 qubits, past the dense engine's ceiling: one Pauli law
+        serves every point."""
+        code = main(
+            ["sweep", "--family", "feedforward", "--n", "6", "--noise", "default",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        rows = read_rows(tmp_path / "sweep.csv", ["angle", "theta", "phi", "fidelity", "joint_x"])
+        assert len(rows) == 9
+        assert all(0.0 < float(row["fidelity"]) < 1.0 for row in rows)
+
 
 class TestTomoCommand:
     def test_noiseless_bell_reconstruction(self, tmp_path):

@@ -25,11 +25,13 @@ from fanout_sim.engine import (
     BRANCH_PRUNE,
     RunConfig,
     _conjugate,
+    _run_law,
     cardinal_error,
     joint_x_expectation,
     output_fidelity,
     run,
     run_exact,
+    run_inputs,
     run_pauli,
     run_trajectory,
     serialize_run_result,
@@ -251,16 +253,70 @@ class TestRunDispatch:
         assert result.pruned_mass == dense.pruned_mass
         assert (result.branches is None) == (noise is not None)
 
-    def test_cardinal_error_goes_through_run(self, monkeypatch):
+    @pytest.mark.parametrize("noisy_recovery", [False, True], ids=["clean", "noisy_recovery"])
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cardinal_error_builds_one_law(self, family, n, noisy_recovery, monkeypatch):
+        """One law serves the six cardinals, with the value of six ``run`` calls."""
+        circuit, noise = build_circuit(family, n), NoiseModel.device_medians()
+        fidelities = []
+        for _, inp in CARDINAL_INPUTS:
+            config = RunConfig(input=inp, noise=noise, noisy_recovery=noisy_recovery)
+            fidelities.append(output_fidelity(run(circuit, config), inp))
+        laws = []
+
+        def spy(circuit, config):
+            laws.append(config.input)
+            return _run_law(circuit, config)
+
+        monkeypatch.setattr(engine, "_run_law", spy)
+        assert cardinal_error(circuit, noise, noisy_recovery) == 1.0 - sum(fidelities) / 6
+        assert len(laws) == 1
+
+    def test_cardinal_error_of_a_hand_made_circuit_runs_dense(self, monkeypatch):
+        circuit = _one_qubit_circuit(PrepareInputOp(0), GateOp("RX", (0,), 0.3))
+        noise = NoiseModel.device_medians()
+        expected = 1.0 - sum(
+            output_fidelity(run_exact(circuit, RunConfig(input=inp, noise=noise)), inp)
+            for _, inp in CARDINAL_INPUTS
+        ) / 6
         calls = []
 
         def spy(circuit, config):
             calls.append(config.input)
-            return run(circuit, config)
+            return run_exact(circuit, config)
 
-        monkeypatch.setattr(engine, "run", spy)
-        cardinal_error(build_constant_depth(2), NoiseModel.device_medians())
+        monkeypatch.setattr(engine, "run_exact", spy)
+        assert cardinal_error(circuit, noise) == expected
         assert calls == [inp for _, inp in CARDINAL_INPUTS]
+
+    def test_run_inputs_rejects_configs_that_differ_beyond_input(self):
+        configs = [RunConfig(input=PLUS), RunConfig(input=ONE, noise=NoiseModel())]
+        with pytest.raises(ValueError, match="differ only in input"):
+            run_inputs(build_constant_depth(2), configs)
+
+
+#: The inputs of a 9-point exact sweep: theta over [0, pi] at phi = 0, and phi
+#: over [0, 2 pi) at theta = pi/2, as ``fanout-sim sweep`` builds them.
+SWEEP_INPUTS = [InputState(float(a), 0.0) for a in np.linspace(0.0, math.pi, 9)] + [
+    InputState(math.pi / 2.0, float(a))
+    for a in np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", ["feedforward", "pauli_frame"])
+def test_sweep_on_one_law_matches_dense_points(family, n):
+    """Every point of an exact sweep on one shared law agrees with its own
+    ``run_exact``, within the tolerance of ``test_pauli_law_matches_dense_oracle``."""
+    circuit, noise = build_circuit(family, n), NoiseModel.device_medians()
+    configs = [RunConfig(input=inp, noise=noise) for inp in SWEEP_INPUTS]
+    for inp, config, result in zip(SWEEP_INPUTS, configs, run_inputs(circuit, configs)):
+        dense = run_exact(circuit, config)
+        tol = 2.0 * dense.pruned_mass + 1e-12
+        assert result.input == inp
+        assert abs(output_fidelity(result, inp) - output_fidelity(dense, inp)) <= tol
+        assert abs(joint_x_expectation(result) - joint_x_expectation(dense)) <= tol
 
 
 class TestRunExactNoiseless:

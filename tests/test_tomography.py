@@ -1,12 +1,16 @@
 """Tomography tests: settings, sampling, inversion, projection, fitting."""
 import math
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
 
 from fanout_sim.noise import ConfusionMatrix
-from fanout_sim.states import DensityState, GateOp, PureState, fidelity
+from fanout_sim.states import PAULI_MATRICES, DensityState, GateOp, PureState, fidelity
+from fanout_sim import tomography
 from fanout_sim.tomography import (
+    BASIS_ROTATIONS,
     TomogramData,
     collect_tomogram,
     contrast_fit,
@@ -256,3 +260,87 @@ class TestPipeline:
         lines = serialize_tomogram(data).splitlines()
         assert lines[0] == "setting,bitstring,count"
         assert "Z,0,5" in lines
+
+
+def random_mixed_density(rng, n):
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    m = g @ g.conj().T
+    return DensityState(m / np.trace(m).real, validate=False)
+
+
+def kernel_probabilities(state, setting):
+    """Reference: rotate a copy of the state qubit by qubit with the density
+    kernel, then read its diagonal."""
+    rho = state.copy()
+    for q, letter in enumerate(setting):
+        rho.apply_matrix(BASIS_ROTATIONS[letter], (q,))
+    probs = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
+    return probs / probs.sum()
+
+
+def kron_pauli(pauli):
+    """Reference: a Pauli string as a Kronecker product of 2 x 2 matrices."""
+    return reduce(np.kron, [PAULI_MATRICES[letter] for letter in pauli])
+
+
+def kron_linear_inversion(data):
+    """Reference: ``linear_inversion`` summing dense Kronecker-product Pauli
+    matrices, with the same accumulation order."""
+    k = data.n_qubits
+    outcomes = np.arange(2**k)
+    sums, hits = {}, {}
+    for setting in settings(k):
+        freq = tomography._corrected_frequencies(data, setting)
+        for subset in range(2**k):
+            signs = 1 - 2 * (np.bitwise_count(outcomes & subset).astype(np.int64) & 1)
+            pauli = "".join(
+                setting[q] if subset & (1 << (k - 1 - q)) else "I" for q in range(k)
+            )
+            sums[pauli] = sums.get(pauli, 0.0) + float(np.dot(signs, freq))
+            hits[pauli] = hits.get(pauli, 0) + 1
+    rho = np.zeros((2**k, 2**k), dtype=complex)
+    for pauli, total in sums.items():
+        rho += (total / hits[pauli]) * kron_pauli(pauli)
+    return rho / 2**k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+class TestContractionAgainstKernels:
+    """The tomography analysis contracts rho once; the per-setting kernel
+    path and the Kronecker-product Pauli matrices are its references."""
+
+    def test_rotated_distributions_match_kernel_rotations(self, k):
+        state = random_mixed_density(np.random.default_rng(20 + k), k)
+        batched = tomography._rotated_distributions(state)
+        for setting, probs in zip(settings(k), batched):
+            np.testing.assert_allclose(probs, kernel_probabilities(state, setting),
+                                       rtol=0, atol=1e-15)
+
+    def test_collect_tomogram_samples_like_simulate_shots(self, k):
+        state = random_mixed_density(np.random.default_rng(30 + k), k)
+        confusion = ConfusionMatrix(0.05, 0.02)
+        data = collect_tomogram(state, 200, confusion, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        for setting in settings(k):
+            assert data.counts[setting] == simulate_shots(state, setting, 200, confusion, rng)
+
+    def test_pauli_table_matches_kernel_expectations(self, k):
+        state = random_mixed_density(np.random.default_rng(40 + k), k)
+        table = pauli_table(state)
+        assert list(table) == ["".join(p) for p in product("IXYZ", repeat=k)]
+        for pauli, value in table.items():
+            assert value == pytest.approx(state.expectation(pauli), abs=1e-15)
+            assert value == pytest.approx(np.trace(kron_pauli(pauli) @ state.matrix).real,
+                                          abs=1e-15)
+
+    def test_linear_inversion_is_bit_identical_to_dense_paulis(self, k):
+        rng = np.random.default_rng(50 + k)
+        state = random_mixed_density(rng, k)
+        for confusion in (None, ConfusionMatrix(0.04, 0.01)):
+            data = collect_tomogram(state, 300, confusion, rng)
+            assert linear_inversion(data).tobytes() == kron_linear_inversion(data).tobytes()
+
+
+def test_invalid_basis_letter_rejected():
+    with pytest.raises(ValueError, match="invalid basis letter 'Q'"):
+        simulate_shots(DensityState.zeros(2), "XQ", 10, None, np.random.default_rng(0))

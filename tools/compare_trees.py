@@ -9,8 +9,9 @@ file; this process then compares the two, field by field. A configuration
 is reported ``identical`` when every field has equal bytes (signed zeros
 included), ``array_equal`` when every field passes ``np.array_equal`` but
 some bytes differ, and ``DIFFERENT`` otherwise; a float field that differs
-is listed with its largest absolute difference. The exit status is 1 unless
-every configuration passes ``np.array_equal``.
+is listed with its largest absolute difference, a text field with its old
+and new value. The exit status is 1 unless every configuration passes
+``np.array_equal``.
 
 The grid: feedforward and pauli_frame at n = 2, 3, 4 and unitary at
 n = 3, 4, 9, each with four inputs, noiseless, with device-median noise,
@@ -22,10 +23,19 @@ run through ``run`` (the Pauli law of a built circuit: fidelity, joint-X and
 frames, histogram, and each shot's fidelity and joint-X, from one-record
 results through the tree's own ``output_fidelity`` and
 ``joint_x_expectation``). Each engine's configurations are tallied apart.
+
+The CLI catalogue of the benchmark (``bench/workloads.py``) runs too: every
+``sweep`` of its ``CLI_GRID`` (theta and phi) and every ``tomo`` of its
+``TOMO_SIZES`` with each of the six cardinal inputs, in process. Each "cli"
+configuration's fields are the tables' text fields (version line aside):
+each ``# key`` of a header, each cell of a CSV data row as ``column[row]``
+and each entry of ``tomo_rho.txt`` as ``rho[row,column]``.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import math
 import pickle
 import subprocess
@@ -136,6 +146,47 @@ def _run_grid() -> dict:
     return results
 
 
+def _table_fields(name: str, text: str) -> dict[str, str]:
+    """The text fields of one CLI table, named as in the module docstring."""
+    fields, columns, row = {}, None, 0
+    for line in text.splitlines():
+        if line.startswith("# fanout-sim "):
+            continue
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" = ")
+            fields[f"{name} # {key}"] = value
+        elif name.endswith(".csv") and columns is None:
+            columns = line.split(",")
+        else:
+            cells = line.split(",") if columns else line.split()
+            for col, cell in enumerate(cells):
+                label = f"{columns[col]}[{row}]" if columns else f"rho[{row},{col}]"
+                fields[f"{name} {label}"] = cell
+            row += 1
+    return fields
+
+
+def _run_cli_catalogue() -> dict:
+    """Every configuration's table fields: name -> text."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads as wl
+    from fanout_sim.cli import main
+
+    ops = [wl.sweep_op(f, n, sweep) for f, n in wl.CLI_GRID for sweep in ("theta", "phi")]
+    ops += [wl.tomo_op(f, n, inp) for f, n in wl.TOMO_SIZES for inp in wl.CARDINALS]
+    results = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for i, op in enumerate(ops):
+            out = Path(workdir) / str(i)
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main([*op.argv[:1], "--out", str(out), *op.argv[1:]])
+            fields = {"exit status": str(status)}
+            for path in sorted(out.iterdir()) if out.is_dir() else ():
+                fields.update(_table_fields(path.name, path.read_text()))
+            results["cli " + op.key] = fields
+    return results
+
+
 def _dump(src: str, out: str) -> None:
     sys.path.insert(0, str(Path(src).resolve()))
     import fanout_sim
@@ -144,7 +195,7 @@ def _dump(src: str, out: str) -> None:
     if package.parent != Path(src).resolve():
         raise SystemExit(f"imported fanout_sim from {package}, not from {src}")
     with open(out, "wb") as f:
-        pickle.dump(_run_grid(), f)
+        pickle.dump(_run_grid() | _run_cli_catalogue(), f)
 
 
 def _load(src: str, workdir: str, tag: str) -> dict:
@@ -155,8 +206,10 @@ def _load(src: str, workdir: str, tag: str) -> dict:
 
 
 def _compare(a, b) -> str:
-    """'identical', 'array_equal' or 'different' for one field."""
-    if isinstance(a, list) or isinstance(b, list):
+    """'identical', 'array_equal' or 'different' for one field (None: missing)."""
+    if a is None or b is None:
+        return "identical" if a is b else "different"
+    if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
         return "identical" if a == b else "different"
     if a.shape != b.shape or a.dtype != b.dtype or not np.array_equal(a, b):
         return "different"
@@ -165,7 +218,7 @@ def _compare(a, b) -> str:
 
 def _max_difference(a, b) -> float | None:
     """Largest absolute difference of two float fields of one shape, else None."""
-    if isinstance(a, list) or isinstance(b, list) or a.shape != b.shape:
+    if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray) or a.shape != b.shape:
         return None
     if not (np.issubdtype(a.dtype, np.inexact) and np.issubdtype(b.dtype, np.inexact)):
         return None
@@ -185,14 +238,19 @@ def main(argv: list[str]) -> int:
     largest: dict[str, float] = {}
     for name, fields in old.items():
         engine = name.split()[0]
-        verdicts = {field: _compare(value, new[name][field]) for field, value in fields.items()}
+        other = new[name]
+        verdicts = {field: _compare(fields.get(field), other.get(field))
+                    for field in dict.fromkeys([*fields, *other])}
         worst = next((v for v in VERDICTS if v in verdicts.values()), "identical")
         detail = []
         for field, verdict in verdicts.items():
-            diff = _max_difference(fields[field], new[name][field])
+            a, b = fields.get(field), other.get(field)
+            diff = _max_difference(a, b)
             if verdict == "different" and diff is not None:
                 detail.append(f"{field} max |diff| {diff:.3g}")
                 largest[engine] = max(largest.get(engine, 0.0), diff)
+            elif verdict == "different" and (isinstance(a, str) or isinstance(b, str)):
+                detail.append(f"{field} {a} -> {b}")
             elif verdict != "identical":
                 detail.append(field)
         print(f"{name}: {worst if worst != 'different' else 'DIFFERENT'}"
