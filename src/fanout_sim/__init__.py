@@ -28,7 +28,6 @@ from .engine import (
     run,
     run_exact,
     run_inputs,
-    run_pauli,
     run_trajectory,
     target_state,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "run",
     "run_exact",
     "run_inputs",
-    "run_pauli",
     "run_trajectory",
     "sample_pauli_error",
     "scaling_curve",

@@ -255,12 +255,17 @@ def cmd_tomo(args) -> int:
     inp = parse_input(args.input)
     if args.shots < 1:
         raise ConfigError("tomography needs at least one shot per setting")
+    confusion = noise.confusion if noise is not None else None
     with _config_errors():
         circuit = build_circuit(args.family, args.n)
+        # The seed check of RunConfig, and a singular confusion, fail here
+        # rather than after the whole tomogram is sampled.
+        config = RunConfig(input=inp, noise=noise, seed=args.seed)
+        if confusion is not None:
+            confusion.inverse()
     with _config_errors(CeilingError):
-        truth = run_exact(circuit, RunConfig(input=inp, noise=noise)).output_state
+        truth = run_exact(circuit, config).output_state
     rng = np.random.default_rng(args.seed)
-    confusion = noise.confusion if noise is not None else None
     data = tomo.collect_tomogram(truth, args.shots, confusion, rng)
     rec = tomo.reconstruct(data)
     ideal = target_state(inp, args.n).to_density()

@@ -16,12 +16,13 @@ arrays X and Z of Pauli frames carry faults and shots through the walk,
 and each gate, fault, readout flip and recovery (physical for feedforward,
 a recorded ``PauliFrame`` for frame update) updates them in one step.
 
-``run_pauli`` is the exact engine for those circuits, and ``run`` sends
-them to it, at any n. Fidelity and joint-X read only whether x is 0...0,
-1...1 or neither, and s. In the difference bits d_q = x_q ^ x_(q+1) each
-fault flips at most two adjacent d bits, so one walk tables every fault
-as independent flips and a left-to-right scan over the d bits gives that
-law exactly, in time linear in the faults.
+``run`` takes only circuits that ``build_circuit`` makes, in either mode;
+any other raises ValueError. In exact mode it gives their law, at any n.
+Fidelity and joint-X read only whether x is 0...0, 1...1 or neither, and
+s. In the difference bits d_q = x_q ^ x_(q+1) each fault flips at most two
+adjacent d bits, so one walk tables every fault as independent flips and a
+left-to-right scan over the d bits gives that law exactly, in time linear
+in the faults.
 
 ``run_exact`` walks a density matrix (statevector when noiseless) through
 every measurement branch (true outcome times reported outcome under
@@ -74,7 +75,6 @@ from .noise import (
 )
 from .states import (
     CARDINAL_INPUTS,
-    ZERO_PROB,
     DensityState,
     InputState,
     PureState,
@@ -113,6 +113,8 @@ class RunConfig:
             raise ValueError(f"unknown run mode {self.mode!r}")
         if self.mode == "trajectories" and self.shots < 1:
             raise ValueError("trajectory mode needs at least one shot")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -135,7 +137,7 @@ class RunResult:
     renormalized what remained: 0 for a Pauli law, which drops nothing, and
     None for trajectory runs.
 
-    ``pauli_law`` (set by ``run_pauli`` only) has shape (3, 2): entry [i, k]
+    ``pauli_law`` (set by exact ``run`` only) has shape (3, 2): entry [i, k]
     is the probability that the output is X^x Z^z on the ideal state with
     |z| of parity k, and x = 0...0 (i = 0), x = 1...1 (i = 1) or any other
     x (i = 2). Such a law result, like a trajectory result, has
@@ -349,31 +351,32 @@ def _branch_measurement(state, weights: list, reported: np.ndarray, op: MeasureO
                         conf: ConfusionMatrix):
     """Split every branch on a Z measurement of axis ``q`` and its reported bit.
 
-    Children keep the order parent, true outcome, reported bit (true first).
-    An outcome below ``ZERO_PROB`` is not branched on, and a child whose
-    weight falls below ``BRANCH_PRUNE`` is dropped. Each child is its
-    parent's block for its outcome (``collapse_z``), made only once it is kept.
+    Children keep the order parent, true outcome, reported bit (true first),
+    and a child whose weight falls below ``BRANCH_PRUNE`` is dropped (an
+    outcome below ``states.ZERO_PROB`` has weight 0).
     """
-    probs = state.probabilities_z(q)
+    split = state.branch_z(q)
+    if isinstance(state, PureState):
+        reduced = [post.remove_collapsed(q, outcome) for outcome, post, _ in split]
+    else:
+        reduced = [post.discard_qubits((q,)) for _, post, _ in split]
     flips = (conf.p10, conf.p01)  # by true outcome
     outcomes, parents, new_weights, bits = [], [], [], []
     for parent, weight in enumerate(weights):
-        for outcome in (0, 1):
-            p = probs[parent, outcome]
-            if p < ZERO_PROB:
-                continue
+        for outcome, _, probs in split:
             flip = flips[outcome]
             for bit, w in ((outcome, 1.0 - flip), (1 - outcome, flip)):
-                new_weight = weight * p * w
+                new_weight = weight * probs[parent] * w
                 if new_weight < BRANCH_PRUNE:
                     continue
                 outcomes.append(outcome)
                 parents.append(parent)
                 new_weights.append(new_weight)
                 bits.append(bit)
+    children = np.stack([_members(r) for r in reduced])[outcomes, parents]
     reported = reported[parents]
     reported[:, op.column] = bits
-    return state.collapse_z(q, parents, outcomes, probs), new_weights, reported
+    return type(state)(children, validate=False), new_weights, reported
 
 
 def _recover(state, groups, q: int, p: float | None) -> None:
@@ -389,9 +392,16 @@ def _recover(state, groups, q: int, p: float | None) -> None:
         members[rows] = _members(group)
 
 
-def run_pauli(circuit: Circuit, config: RunConfig) -> RunResult:
-    """Exact run of a circuit that ``build_circuit`` makes (any other raises
-    ValueError), as the law of the Pauli on the ideal output |t>, at any n.
+#: _PARITY[u, v]: whether a flip of the 4 scan bits v (bit 0 the difference
+#: bit being closed, bit 1 the next one, bit 2 x_1, bit 3 the Z parity)
+#: changes the sign of the character u.
+_PARITY = np.array([[bin(u & v).count("1") % 2 for v in range(16)] for u in range(16)], dtype=bool)
+_HADAMARD = 1.0 - 2.0 * _PARITY
+
+
+def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
+    """Exact run of a circuit that ``_check_built`` accepted, as the law of
+    the Pauli on the ideal output |t>, at any n.
 
     The noiseless bits are uniform whatever the input, so the true bits are
     too, independent of the faults, and each reported bit r_j is 1 with
@@ -403,26 +413,13 @@ def run_pauli(circuit: Circuit, config: RunConfig) -> RunResult:
     r_j, and with ``noisy_recovery`` the site after each recovery pulse
     counts once per pulse that r fires; the pulses of a recovery multiply to
     a Pauli, so they leave every frame's bits as they are, and a
-    depolarizing site commutes with them. See ``_scan`` for the law.
-    """
-    _check_built(circuit)
-    return _run_law(circuit, config)
-
-
-#: _PARITY[u, v]: whether a flip of the 4 scan bits v (bit 0 the difference
-#: bit being closed, bit 1 the next one, bit 2 x_1, bit 3 the Z parity)
-#: changes the sign of the character u.
-_PARITY = np.array([[bin(u & v).count("1") % 2 for v in range(16)] for u in range(16)], dtype=bool)
-_HADAMARD = 1.0 - 2.0 * _PARITY
-
-
-def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
-    """``run_pauli`` of a circuit that ``_check_built`` accepted.
+    depolarizing site commutes with them.
 
     One walk tables the faults in frame arrays X and Z with one row per
-    qubit and one column per fault, and the reported bits each fault flips. An independent fault has the contrast 1 - 2 P(fault);
-    a readout flip and a recovery pulse's fault depend on the reported bits,
-    so they are kept to the scan step of their pair and output.
+    qubit and one column per fault, and the reported bits each fault flips.
+    An independent fault has the contrast 1 - 2 P(fault); a readout flip and
+    a recovery pulse's fault depend on the reported bits, so they are kept
+    to the scan step of their pair and output. See ``_scan`` for the law.
     """
     steps = list(_walk(circuit, config))
     total = sum(_fault_count(op, arg) for op, _, arg in steps)  # at most this many columns
@@ -742,8 +739,8 @@ def _check_built(circuit: Circuit) -> None:
         return
     _check_frame_ops(circuit)
     raise ValueError(
-        "trajectory mode samples only circuits equal to "
-        "build_circuit(family, n_outputs, timing); use exact mode"
+        "run takes only circuits equal to build_circuit(family, n_outputs, timing); "
+        "use run_exact for any other"
     )
 
 
@@ -769,7 +766,8 @@ def _check_frame_ops(circuit: Circuit) -> None:
         if not isinstance(op, Operation):
             raise TypeError(f"unexpected operation {op!r}")
         if isinstance(op, PrepareInputOp) and op.qubit in touched:
-            raise ValueError(f"trajectory mode needs {op} to be the first operation on its qubit")
+            raise ValueError(f"run needs {op} to be the first operation on its qubit; "
+                             "use run_exact for any other circuit")
         if isinstance(op, GateOp) and op.angle is not None:
             _quarter_turns(op)
         touched.update(op.targets if isinstance(op, GateOp) else (op.qubit,))
@@ -779,7 +777,8 @@ def _quarter_turns(gate: GateOp) -> int:
     """Quarter turns of a rotation, which must be a Clifford gate."""
     turns = round(gate.angle / _HALF_PI)
     if abs(gate.angle - turns * _HALF_PI) > 1e-12:
-        raise ValueError(f"trajectory mode needs multiples of pi/2; {gate} is not Clifford")
+        raise ValueError(f"run needs rotations by multiples of pi/2; {gate} is not Clifford, "
+                         "use run_exact for it")
     return turns
 
 
@@ -836,36 +835,27 @@ def _recover_frames(x, z, groups, qubit: int, p: float | None, rng) -> None:
 
 
 def run(circuit: Circuit, config: RunConfig) -> RunResult:
-    """Run in the config's mode. Exact runs of circuits that ``build_circuit``
-    makes are Pauli laws (``run_pauli``); any other circuit walks the dense
-    ``run_exact``."""
+    """Run a circuit that ``build_circuit`` makes in the config's mode: a
+    Pauli law in exact mode, sampled frames in trajectory mode. Any other
+    circuit raises ValueError; ``run_exact`` runs it."""
     if config.mode == "trajectories":
         return run_trajectory(circuit, config)
-    return _run_law(circuit, config) if _is_built(circuit) else run_exact(circuit, config)
+    _check_built(circuit)
+    return _run_law(circuit, config)
 
 
 def run_inputs(circuit: Circuit, configs: list[RunConfig]) -> list[RunResult]:
     """``run`` of each config, where the configs differ only in ``input``.
 
     A Pauli law does not depend on the input (only the result's ``input``
-    field does), so exact runs of a circuit that ``build_circuit`` makes
-    share one law; otherwise each config goes to ``run``.
+    field does), so exact runs share one law.
     """
     if any(dataclasses.replace(c, input=configs[0].input) != configs[0] for c in configs[1:]):
         raise ValueError("run_inputs needs configs that differ only in input")
-    if not configs or configs[0].mode != "exact" or not _is_built(circuit):
+    if not configs or configs[0].mode != "exact":
         return [run(circuit, c) for c in configs]
-    law = _run_law(circuit, configs[0])
+    law = run(circuit, configs[0])
     return [dataclasses.replace(law, input=c.input) for c in configs]
-
-
-def _is_built(circuit: Circuit) -> bool:
-    """Whether ``_check_built`` accepts the circuit."""
-    try:
-        _check_built(circuit)
-    except ValueError:
-        return False
-    return True
 
 
 def _output_paulis(result: RunResult):

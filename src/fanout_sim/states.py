@@ -8,7 +8,7 @@ streams to every stochastic operation.
 A state may also hold a batch: its array then carries leading axes (the
 ``batch`` shape) in front of the qubit axes. The kernels ``apply_matrix``,
 ``apply_cz``, ``apply_gate``, ``prepare_input``, ``probabilities_z``,
-``branch_z``, ``collapse_z``, ``discard_qubits``, ``remove_collapsed`` and
+``branch_z``, ``discard_qubits``, ``remove_collapsed`` and
 ``noise.apply_depolarizing`` act on the trailing qubit axes, so one call
 updates every member and an unbatched state is a batch of one. Each member
 gets exactly the bits it would get on its own. The remaining methods expect
@@ -23,8 +23,9 @@ Which kernel each gate takes (``apply_gate`` dispatches on the kind):
 * CNOT and any other 4x4 matrix: ``_contract``, the general ``tensordot``
   contraction.
 
-The exact engine's measurement step takes ``collapse_z``, which slices each
-kept outcome's block out of its parent instead of copying and tracing.
+The exact engine measures with ``branch_z``, then removes the measured
+qubit with ``remove_collapsed`` (statevector) or ``discard_qubits``
+(density matrix).
 
 These kernels are bit-identical to the contraction and copies they
 replaced, signed zeros included (``tests/test_batch.py`` checks each, and
@@ -238,13 +239,6 @@ def _cz_targets(state, targets) -> tuple[int, int]:
     return a, b
 
 
-def _divisors(probs: np.ndarray, members, outcomes) -> np.ndarray:
-    """The probability of each (member, outcome) pair, or 1 below
-    ``ZERO_PROB`` as in ``_outcomes``."""
-    p = probs[members, outcomes]
-    return np.where(p >= ZERO_PROB, p, 1.0)
-
-
 def _per_member(values: np.ndarray, reduce) -> np.ndarray:
     """``reduce`` over the last axis of each batch member, one member at a
     time: a batched reduction could order its additions differently."""
@@ -403,20 +397,6 @@ class PureState:
             branches.append((outcome, PureState(amps, validate=False), p))
         return branches
 
-    def collapse_z(self, qubit: int, members, outcomes, probs: np.ndarray) -> "PureState":
-        """A new batch: member ``members[i]`` of this one-axis batch collapsed
-        onto Z outcome ``outcomes[i]`` of ``qubit``, which is removed.
-
-        Each is the outcome's block divided by the square root of its
-        probability in ``probs`` (from ``probabilities_z``; 1 below
-        ``ZERO_PROB``), bit for bit ``branch_z`` then ``remove_collapsed``.
-        """
-        self._check_qubit(qubit)
-        members, outcomes = np.asarray(members, dtype=np.intp), np.asarray(outcomes, dtype=np.intp)
-        amps = self._split(qubit)[members, :, outcomes]  # (children, 2^qubit, rest)
-        amps /= np.sqrt(_divisors(probs, members, outcomes))[:, None, None]
-        return PureState(amps.reshape(len(members), -1), validate=False)
-
     def remove_collapsed(self, qubit: int, outcome: int) -> "PureState":
         """Drop a qubit whose state has collapsed to |outcome>."""
         self._check_qubit(qubit)
@@ -567,23 +547,6 @@ class DensityState:
             post = post.reshape(self.matrix.shape)
             branches.append((outcome, DensityState(post, validate=False), p))
         return branches
-
-    def collapse_z(self, qubit: int, members, outcomes, probs: np.ndarray) -> "DensityState":
-        """A new batch: member ``members[i]`` of this one-axis batch collapsed
-        onto Z outcome ``outcomes[i]`` of ``qubit``, which is traced out.
-
-        Each is the outcome's (o, o) block divided by its probability in
-        ``probs`` (from ``probabilities_z``; 1 below ``ZERO_PROB``), bit for
-        bit ``branch_z`` then ``discard_qubits``.
-        """
-        self._check_qubit(qubit)
-        members, outcomes = np.asarray(members, dtype=np.intp), np.asarray(outcomes, dtype=np.intp)
-        # (children, 2^qubit, rest, 2^qubit, rest)
-        block = self._split(qubit)[members, :, outcomes, :, :, outcomes, :]
-        block /= _divisors(probs, members, outcomes)[:, None, None, None, None]
-        block += 0.0  # the partial trace adds the zeroed block: a -0 entry reads +0
-        dim = 2 ** (self.n - 1)
-        return DensityState(block.reshape(len(members), dim, dim), validate=False)
 
     def discard_qubits(self, qubits) -> "DensityState":
         """Partial trace over the listed qubits; returns a new state."""

@@ -148,13 +148,14 @@ def collect_tomogram(
     return TomogramData(counts=counts, shots=shots, confusion=confusion)
 
 
-def _corrected_frequencies(data: TomogramData, setting: str) -> np.ndarray:
+def _corrected_frequencies(data: TomogramData, setting: str, inv: np.ndarray | None) -> np.ndarray:
+    """Outcome frequencies of one setting, with the confusion inverse ``inv``
+    (None: no correction) applied on every qubit."""
     k = data.n_qubits
     freq = np.zeros(2**k)
     for bits, count in data.counts[setting].items():
         freq[int(bits, 2)] = count / data.shots
-    if data.confusion is not None:
-        inv = data.confusion.inverse()
+    if inv is not None:
         freq = freq.reshape((2,) * k)
         for q in range(k):
             freq = np.tensordot(inv, freq, axes=([1], [q]))
@@ -182,10 +183,11 @@ def linear_inversion(data: TomogramData) -> np.ndarray:
     for subset in range(2**k):
         subset_signs[subset] = 1 - 2 * (np.bitwise_count(outcomes & subset).astype(np.int64) & 1)
 
+    inv = data.confusion.inverse() if data.confusion is not None else None
     sums: dict[str, float] = {}
     hits: dict[str, int] = {}
     for setting in sorted(expected):
-        freq = _corrected_frequencies(data, setting)
+        freq = _corrected_frequencies(data, setting, inv)
         for subset in range(2**k):
             letters = [setting[q] if subset & (1 << (k - 1 - q)) else "I" for q in range(k)]
             pauli = "".join(letters)

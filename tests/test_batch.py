@@ -8,7 +8,6 @@ import pytest
 
 from fanout_sim.noise import apply_depolarizing
 from fanout_sim.states import (
-    ZERO_PROB,
     GateOp,
     DensityState,
     InputState,
@@ -190,59 +189,6 @@ def test_cz_accepts_non_contiguous_and_read_only_arrays(make):
         state = make(source, validate=False).apply_cz((1, 2))
         assert_same_bits(state.amplitudes if make is PureState else state.matrix, expected)
     assert np.array_equal(read_only, array)
-
-
-def _collapse_inputs(rng, make):
-    """K members with signed zeros, one pure |0000> member (outcome 1 has
-    probability 0) and one whose outcome 1 has probability 1e-16."""
-    if make is PureState:
-        array = with_zeros(rng, random_pure(rng, K, 4))
-        array[1] = 0.0
-        array[1, 0] = 1.0
-        array[3] = 0.0
-        array[3, 0] = math.sqrt(1.0 - 1e-16)
-        array[3, -1] = 1e-8
-    else:
-        array = with_zeros(rng, random_density(rng, K, 4))
-        array[1] = 0.0
-        array[1, 0, 0] = 1.0
-        array[3] = 0.0
-        array[3, 0, 0] = 1.0 - 1e-16
-        array[3, -1, -1] = 1e-16
-    return array
-
-
-@pytest.mark.parametrize("qubit", [0, 1, 2, 3])
-@pytest.mark.parametrize("make", [PureState, DensityState], ids=["pure", "density"])
-def test_collapse_matches_branch_then_reduce(make, qubit):
-    """Every (member, outcome) pair, in a shuffled order, against
-    ``branch_z`` then ``remove_collapsed`` or ``discard_qubits``; a
-    member below ``ZERO_PROB`` stays unnormalized in both."""
-    rng = np.random.default_rng(16 + qubit)
-    state = make(_collapse_inputs(rng, make), validate=False)
-    probs = state.probabilities_z(qubit)
-    assert probs[1, 1] == 0.0 and 0.0 < probs[3, 1] < ZERO_PROB
-    members = np.repeat(np.arange(K), 2)
-    outcomes = np.tile([0, 1], K)
-    order = rng.permutation(members.size)
-    members, outcomes = members[order].tolist(), outcomes[order].tolist()
-    children = state.collapse_z(qubit, members, outcomes, probs)
-    branches = {outcome: post for outcome, post, _ in state.branch_z(qubit)}
-    for i, (member, outcome) in enumerate(zip(members, outcomes)):
-        post = branches[outcome]
-        if make is PureState:
-            single = PureState(post.amplitudes[member].copy(), validate=False)
-            expected = single.remove_collapsed(qubit, outcome).amplitudes
-            assert_same_bits(children.amplitudes[i], expected)
-        else:
-            single = DensityState(post.matrix[member], validate=False)
-            assert_same_bits(children.matrix[i], single.discard_qubits((qubit,)).matrix)
-
-
-def test_collapse_keeps_no_children():
-    state = DensityState(random_density(np.random.default_rng(17), 2, 3), validate=False)
-    children = state.collapse_z(1, [], [], state.probabilities_z(1))
-    assert children.batch == (0,) and children.n == 2
 
 
 def test_density_prepare_input_rejects_excited_target_in_any_member():

@@ -334,6 +334,32 @@ class TestErrorBoundary:
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--n", "2", "--mode", "trajectories", "--shots", "4"],
+            ["sweep", "--n", "2", "--mode", "trajectories", "--shots", "4"],
+            ["tomo", "--n", "2", "--shots", "4"],
+        ],
+        ids=["simulate", "sweep", "tomo"],
+    )
+    def test_negative_seed_exits_2(self, args, tmp_path, capsys):
+        assert main(args + ["--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+
+    def test_singular_tomo_confusion_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "noise.txt"
+        path.write_text("readout_p01 = 0.5\nreadout_p10 = 0.5\n")
+
+        def sampled(*args):
+            raise AssertionError("the tomogram was sampled")
+
+        monkeypatch.setattr("fanout_sim.tomography.collect_tomogram", sampled)
+        args = ["tomo", "--n", "2", "--noise", str(path), "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: confusion matrix is singular")
+        assert not (tmp_path / "out").exists()
+
     def test_engine_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken_run(circuit, config):
             raise ValueError("engine fault")

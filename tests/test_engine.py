@@ -32,7 +32,6 @@ from fanout_sim.engine import (
     run,
     run_exact,
     run_inputs,
-    run_pauli,
     run_trajectory,
     serialize_run_result,
     target_state,
@@ -171,7 +170,7 @@ def _law_corners(law: np.ndarray, inp: InputState) -> np.ndarray:
 @pytest.mark.parametrize("mode", list(LAW_MODES))
 @pytest.mark.parametrize("family,n", LAW_CIRCUITS)
 def test_pauli_law_matches_dense_oracle(family, n, mode, label):
-    """``run_pauli`` against ``run_exact``: fidelity, joint-X, the four
+    """Exact ``run`` against ``run_exact``: fidelity, joint-X, the four
     corner entries of the output state and every histogram value (a missing
     key counts as 0) agree within twice the probability the oracle pruned
     and renormalized away, plus 1e-12. The strong mode checks the law of
@@ -181,7 +180,7 @@ def test_pauli_law_matches_dense_oracle(family, n, mode, label):
     # Only feedforward circuits carry recovery pulses to make noisy.
     dense = dense_run(family, n, label, noise, noisy_recovery and family == FAMILY_FEEDFORWARD)
     config = RunConfig(input=inp, noise=LAW_NOISES[noise], noisy_recovery=noisy_recovery)
-    law = run_pauli(build_circuit(family, n), config)
+    law = run(build_circuit(family, n), config)
     tol = 2.0 * dense.pruned_mass + 1e-12
     assert abs(output_fidelity(law, inp) - output_fidelity(dense, inp)) <= tol
     assert abs(joint_x_expectation(law) - joint_x_expectation(dense)) <= tol
@@ -206,7 +205,7 @@ def test_pauli_law_matches_trajectories_past_the_dense_ceiling(family, n, noisy_
     inp, shots = ORACLE_INPUTS["theta=1.0,phi=0.5"], 2000
     circuit = build_circuit(family, n)
     config = RunConfig(input=inp, noise=NoiseModel.device_medians(), noisy_recovery=noisy_recovery)
-    law = run_pauli(circuit, config)
+    law = run(circuit, config)
     sampled = run_trajectory(circuit, dataclasses.replace(config, mode="trajectories",
                                                           shots=shots, seed=n))
     assert law.output_state is None
@@ -242,16 +241,27 @@ class TestRunDispatch:
 
     @pytest.mark.parametrize("gate", [GateOp("H", (0,)), GateOp("RX", (0,), 0.3)], ids=["H", "RX"])
     @pytest.mark.parametrize("noise", [None, NoiseModel.device_medians()], ids=["noiseless", "noisy"])
-    def test_other_circuits_run_dense(self, gate, noise):
-        """A hand-made circuit, Clifford or not, gets the bytes of ``run_exact``."""
+    def test_other_circuits_are_refused_and_run_exact_runs_them(self, gate, noise):
+        """A hand-made circuit, Clifford or not, is refused by ``run``,
+        ``run_inputs`` and ``cardinal_error``, with a message that names
+        ``run_exact``; ``run_exact`` runs it, to the same bytes each time and
+        within the noise of the ideal U|in>."""
         circuit = _one_qubit_circuit(PrepareInputOp(0), gate)
         config = RunConfig(input=InputState(1.0, 0.5), noise=noise)
-        result, dense = run(circuit, config), run_exact(circuit, config)
-        assert result.pauli_law is None
-        assert result.output_state.matrix.tobytes() == dense.output_state.matrix.tobytes()
-        assert list(result.histogram.items()) == list(dense.histogram.items())
-        assert result.pruned_mass == dense.pruned_mass
-        assert (result.branches is None) == (noise is not None)
+        with pytest.raises(ValueError, match="run_exact"):
+            run(circuit, config)
+        with pytest.raises(ValueError, match="run_exact"):
+            run_inputs(circuit, [config, dataclasses.replace(config, input=PLUS)])
+        with pytest.raises(ValueError, match="run_exact"):
+            cardinal_error(circuit, noise)
+        dense, again = run_exact(circuit, config), run_exact(circuit, config)
+        assert dense.pauli_law is None
+        assert dense.output_state.matrix.tobytes() == again.output_state.matrix.tobytes()
+        assert list(dense.histogram.items()) == list(again.histogram.items())
+        assert (dense.branches is None) == (noise is not None)
+        ideal = gate.matrix() @ config.input.amplitudes()
+        gap = np.abs(dense.output_state.matrix - np.outer(ideal, ideal.conj())).max()
+        assert gap <= (1e-15 if noise is None else 1e-3)
 
     @pytest.mark.parametrize("noisy_recovery", [False, True], ids=["clean", "noisy_recovery"])
     @pytest.mark.parametrize("n", [4, 64])
@@ -272,23 +282,6 @@ class TestRunDispatch:
         monkeypatch.setattr(engine, "_run_law", spy)
         assert cardinal_error(circuit, noise, noisy_recovery) == 1.0 - sum(fidelities) / 6
         assert len(laws) == 1
-
-    def test_cardinal_error_of_a_hand_made_circuit_runs_dense(self, monkeypatch):
-        circuit = _one_qubit_circuit(PrepareInputOp(0), GateOp("RX", (0,), 0.3))
-        noise = NoiseModel.device_medians()
-        expected = 1.0 - sum(
-            output_fidelity(run_exact(circuit, RunConfig(input=inp, noise=noise)), inp)
-            for _, inp in CARDINAL_INPUTS
-        ) / 6
-        calls = []
-
-        def spy(circuit, config):
-            calls.append(config.input)
-            return run_exact(circuit, config)
-
-        monkeypatch.setattr(engine, "run_exact", spy)
-        assert cardinal_error(circuit, noise) == expected
-        assert calls == [inp for _, inp in CARDINAL_INPUTS]
 
     def test_run_inputs_rejects_configs_that_differ_beyond_input(self):
         configs = [RunConfig(input=PLUS), RunConfig(input=ONE, noise=NoiseModel())]
@@ -317,6 +310,26 @@ def test_sweep_on_one_law_matches_dense_points(family, n):
         assert result.input == inp
         assert abs(output_fidelity(result, inp) - output_fidelity(dense, inp)) <= tol
         assert abs(joint_x_expectation(result) - joint_x_expectation(dense)) <= tol
+
+
+@pytest.mark.parametrize(
+    "noise,kind,reduction",
+    [(NoiseModel.device_medians(), DensityState, "discard_qubits"),
+     (None, PureState, "remove_collapsed")],
+    ids=["noisy", "noiseless"],
+)
+def test_run_exact_measures_with_branch_z(noise, kind, reduction, monkeypatch):
+    """Each of the 4 measurements of feedforward n = 3 is one batched
+    ``branch_z``, and each of its 2 outcomes one reduction of that batch."""
+    calls = {"branch_z": 0, reduction: 0}
+    for name in calls:
+        def counted(self, *args, _original=getattr(kind, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(kind, name, counted)
+    run_exact(build_circuit(FAMILY_FEEDFORWARD, 3), RunConfig(input=PLUS, noise=noise))
+    assert calls == {"branch_z": 4, reduction: 8}
 
 
 class TestRunExactNoiseless:
@@ -493,7 +506,7 @@ class TestRunTrajectory:
         circuit = _one_qubit_circuit(PrepareInputOp(0), GateOp("RX", (0,), 0.3))
         with pytest.raises(ValueError, match="RX"):
             run_trajectory(circuit, noiseless(PLUS, mode="trajectories", shots=8, seed=1))
-        # Exact mode still runs it: RX commutes with X, so |+> only picks up a phase.
+        # run_exact still runs it: RX commutes with X, so |+> only picks up a phase.
         assert output_fidelity(run_exact(circuit, noiseless(PLUS)), PLUS) == pytest.approx(
             1.0, abs=1e-12
         )
@@ -509,7 +522,7 @@ class TestRunTrajectory:
         circuit = _one_qubit_circuit(PrepareInputOp(0), GateOp("H", (0,)))
         with pytest.raises(ValueError, match="build_circuit"):
             run_trajectory(circuit, noiseless(PLUS, mode="trajectories", shots=8, seed=1))
-        # Exact mode still runs it: H maps |+> to |0>.
+        # run_exact still runs it: H maps |+> to |0>.
         result = run_exact(circuit, noiseless(PLUS))
         assert output_fidelity(result, InputState(0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
 

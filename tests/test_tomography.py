@@ -112,6 +112,21 @@ class TestLinearInversion:
         estimate = DensityState(linear_inversion(data), validate=False)
         assert trace_distance(estimate, truth) < 0.05
 
+    def test_confusion_is_inverted_once_per_reconstruction(self, monkeypatch):
+        """One inverse serves all 27 settings of a three-qubit tomogram."""
+        rng = np.random.default_rng(7)
+        data = collect_tomogram(random_pure_density(rng, 3), 200, ConfusionMatrix(0.05, 0.02), rng)
+        calls = []
+        inverse = ConfusionMatrix.inverse
+
+        def spy(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(ConfusionMatrix, "inverse", spy)
+        reconstruct(data)
+        assert len(calls) == 1
+
     def test_missing_settings_rejected(self):
         with pytest.raises(ValueError):
             linear_inversion(TomogramData(counts={"Z": {"0": 10}}, shots=10))
@@ -288,9 +303,10 @@ def kron_linear_inversion(data):
     matrices, with the same accumulation order."""
     k = data.n_qubits
     outcomes = np.arange(2**k)
+    inv = data.confusion.inverse() if data.confusion is not None else None
     sums, hits = {}, {}
     for setting in settings(k):
-        freq = tomography._corrected_frequencies(data, setting)
+        freq = tomography._corrected_frequencies(data, setting, inv)
         for subset in range(2**k):
             signs = 1 - 2 * (np.bitwise_count(outcomes & subset).astype(np.int64) & 1)
             pauli = "".join(
