@@ -6,8 +6,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from fanout_sim.noise import apply_depolarizing
+from fanout_sim.circuits import MeasureOp
+from fanout_sim.engine import _branch_measurement
+from fanout_sim.engine import _members as engine_members
+from fanout_sim.noise import ConfusionMatrix, apply_depolarizing
 from fanout_sim.states import (
+    ZERO_PROB,
     GateOp,
     DensityState,
     InputState,
@@ -189,6 +193,79 @@ def test_cz_accepts_non_contiguous_and_read_only_arrays(make):
         state = make(source, validate=False).apply_cz((1, 2))
         assert_same_bits(state.amplitudes if make is PureState else state.matrix, expected)
     assert np.array_equal(read_only, array)
+
+
+def _collapse_inputs(rng, make):
+    """K members with signed zeros, one pure |0000> member (outcome 1 has
+    probability 0) and one whose outcome 1 has probability 1e-16."""
+    if make is PureState:
+        array = with_zeros(rng, random_pure(rng, K, 4))
+        array[1] = 0.0
+        array[1, 0] = 1.0
+        array[3] = 0.0
+        array[3, 0] = math.sqrt(1.0 - 1e-16)
+        array[3, -1] = 1e-8
+    else:
+        array = with_zeros(rng, random_density(rng, K, 4))
+        array[1] = 0.0
+        array[1, 0, 0] = 1.0
+        array[3] = 0.0
+        array[3, 0, 0] = 1.0 - 1e-16
+        array[3, -1, -1] = 1e-16
+    return array
+
+
+def _reduce(post, qubit, outcome):
+    if isinstance(post, PureState):
+        return post.remove_collapsed(qubit, outcome).amplitudes
+    return post.discard_qubits((qubit,)).matrix
+
+
+@pytest.mark.parametrize("qubit", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [PureState, DensityState], ids=["pure", "density"])
+def test_collapse_matches_branch_then_reduce(make, qubit):
+    """The exact engine's measurement step collapses a batch in one pass:
+    each child, in the order parent, true outcome, reported bit, has the bits
+    of its parent member alone through ``branch_z`` then ``remove_collapsed``
+    or ``discard_qubits``, its weight and its reported record. An outcome
+    below ``ZERO_PROB`` (members 1 and 3 on outcome 1) has no child."""
+    rng = np.random.default_rng(16 + qubit)
+    array = _collapse_inputs(rng, make)
+    state = make(array, validate=False)
+    probs = state.probabilities_z(qubit)
+    assert probs[1, 1] == 0.0 and 0.0 < probs[3, 1] < ZERO_PROB
+    weights = rng.uniform(0.5, 1.0, size=K).tolist()
+    reported = rng.random((K, 4)) < 0.5
+    op, conf = MeasureOp(qubit, "x", 1), ConfusionMatrix(p01=0.1, p10=0.2)
+    children, new_weights, new_reported = _branch_measurement(
+        state, weights, reported.copy(), op, qubit, conf
+    )
+    flips = (conf.p10, conf.p01)
+    expected_children, expected_weights, expected_reported = [], [], []
+    for member in range(K):
+        for outcome, post, p in make(array[member], validate=False).branch_z(qubit):
+            for bit, w in ((outcome, 1.0 - flips[outcome]), (1 - outcome, flips[outcome])):
+                expected_children.append(_reduce(post.copy(), qubit, outcome))
+                expected_weights.append(weights[member] * p * w)
+                row = reported[member].copy()
+                row[op.column] = bit
+                expected_reported.append(row)
+    assert len(expected_children) == 4 * K - 4
+    assert_same_bits(engine_members(children), np.stack(expected_children))
+    assert new_weights == expected_weights
+    assert np.array_equal(new_reported, np.stack(expected_reported))
+
+
+def test_collapse_keeps_no_children():
+    """Parents too light for any child to pass ``BRANCH_PRUNE`` leave an
+    empty batch with the measured qubit gone."""
+    state = DensityState(random_density(np.random.default_rng(17), 2, 3), validate=False)
+    reported = np.zeros((2, 2), dtype=bool)
+    children, weights, reported = _branch_measurement(
+        state, [1e-13, 1e-13], reported, MeasureOp(1, "z", 0), 1, ConfusionMatrix()
+    )
+    assert children.batch == (0,) and children.n == 2
+    assert weights == [] and reported.shape == (0, 2)
 
 
 def test_density_prepare_input_rejects_excited_target_in_any_member():
