@@ -1,20 +1,21 @@
 """Protocol execution: an exact Pauli law, dense branch enumeration, and
 trajectory sampling.
 
-All three execute one walk of the circuit (``_walk``), which resolves every
-operation's register positions, noise sites and readout confusion in one
-place, and keep reported bits as boolean arrays (one row per branch, shot
-or fault) from which ``feedforward.recovery_indices`` picks each recovery.
+The law and the sampler share one fault table (``_fault_table``), built by
+one walk of the circuit (``_walk``); ``run_exact`` runs that walk alone, on
+its dense state. The walk resolves every operation's register positions,
+noise sites and readout confusion in one place, and every engine keeps
+reported bits as boolean arrays (one row per branch, shot or fault) from
+which ``feedforward.recovery_indices`` picks each recovery.
 
 Every operation of a circuit that ``build_circuit`` makes is Clifford after
 the input pulse and all noise is Pauli, after the CHP tableau (Aaronson &
 Gottesman, arXiv:quant-ph/0406196) and Stim's frame sampler (Gidney,
 arXiv:2103.02202). Its noisy output is therefore a law of Paulis on the
 ideal state |t>, sum_E p(E) E|t><t|E, and a Pauli X^x Z^z moves
-a|0...0> + b|1...1> to a|x> + s b|~x> with s = (-1)^|z|. The boolean
-arrays X and Z of Pauli frames carry faults and shots through the walk,
-and each gate, fault, readout flip and recovery (physical for feedforward,
-a recorded ``PauliFrame`` for frame update) updates them in one step.
+a|0...0> + b|1...1> to a|x> + s b|~x> with s = (-1)^|z|. The X and Z bits
+of Pauli frames carry every fault through the walk at once, one column
+per fault, and each gate updates them in one step.
 
 ``run`` takes only circuits that ``build_circuit`` makes, in either mode;
 any other raises ValueError. In exact mode it gives their law, at any n.
@@ -32,9 +33,8 @@ into one batched state, so each step is one kernel call across every
 branch. It runs any circuit up to a qubit ceiling, and it is the oracle the
 law is tested against.
 
-``run_trajectory`` samples the same model: each shot is its noiseless
-output (a known Pauli on |t>) times a sampled frame. A shot keeps its
-output Pauli, never 2^n amplitudes; the metrics read its bits.
+``run_trajectory`` samples the same table: a shot's output is a Pauli on
+|t>, never 2^n amplitudes, and the metrics read its bits.
 """
 from __future__ import annotations
 
@@ -50,6 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (
+    FAMILY_FEEDFORWARD,
+    FAMILY_PAULI_FRAME,
     FAMILY_UNITARY,
     Circuit,
     DecoupleOp,
@@ -64,15 +66,7 @@ from .circuits import (
     idle_events,
 )
 from .feedforward import PauliFrame, recovery_indices
-from .noise import (
-    ConfusionMatrix,
-    NoiseModel,
-    apply_depolarizing,
-    depolarizing_sample_prob,
-    noisy_readouts,
-    sample_pauli_errors,
-    sample_site_errors,
-)
+from .noise import ConfusionMatrix, NoiseModel, apply_depolarizing
 from .states import (
     CARDINAL_INPUTS,
     DensityState,
@@ -207,16 +201,15 @@ class _Idle:
 
 
 def _walk(circuit: Circuit, config: RunConfig):
-    """The steps that every engine executes, in order, as (op, positions, arg).
+    """The steps that every engine executes, in order, as (op, qubits, arg).
 
     ``op`` is an operation of the circuit (decoupling pulses, simulated as
     identity, are left out), a ``_Noise`` site or an ``_Idle`` step: with
     noise, a site follows every gate and the input pulse, and a layer with
-    idle slots ends with one step for all of them. ``positions`` are the
-    qubits' axes in the exact engine's register, which drops each qubit when
-    it is measured. ``arg`` is a measurement's readout confusion (perfect
-    when noiseless) or the depolarizing probability after each recovery
-    pulse (None unless ``noisy_recovery``).
+    idle slots ends with one step for all of them. ``qubits`` are the ones
+    it acts on. ``arg`` is a measurement's readout confusion (perfect when
+    noiseless) or the depolarizing probability after each recovery pulse
+    (None unless ``noisy_recovery``).
     """
     noise = config.noise
     recovery_p = noise.single_qubit_depol if noise is not None and config.noisy_recovery else None
@@ -224,11 +217,6 @@ def _walk(circuit: Circuit, config: RunConfig):
     idle_p = functools.cache(lambda duration: noise.idle_probability(duration * 1e-9))
     for layer_idx, qubit, duration in idle_events(circuit) if noise is not None else ():
         idle.setdefault(layer_idx, []).append((qubit, idle_p(duration)))
-    measured: list[int] = []  # sorted
-
-    def axes(qubits) -> tuple[int, ...]:  # each index less the measured qubits below it
-        return tuple(q - bisect.bisect(measured, q) for q in qubits)
-
     for layer_idx, layer in enumerate(circuit.layers):
         for op in layer.ops:
             if not isinstance(op, Operation):
@@ -236,22 +224,18 @@ def _walk(circuit: Circuit, config: RunConfig):
             if isinstance(op, DecoupleOp):
                 continue
             qubits = op.targets if isinstance(op, GateOp) else (op.qubit,)
-            pos = axes(qubits)
             if isinstance(op, MeasureOp):
-                yield op, pos, ConfusionMatrix() if noise is None else noise.confusion_for(op.qubit)
-                bisect.insort(measured, op.qubit)
-            elif isinstance(op, RecoverOp):
-                yield op, pos, recovery_p
-            elif isinstance(op, FrameMarkOp):
-                yield op, pos, None
+                yield op, qubits, ConfusionMatrix() if noise is None else noise.confusion_for(op.qubit)
+            elif isinstance(op, (RecoverOp, FrameMarkOp)):
+                yield op, qubits, recovery_p if isinstance(op, RecoverOp) else None
             else:  # a gate or the input pulse, then its depolarizing site
-                yield op, pos, None
+                yield op, qubits, None
                 if noise is not None:
                     p = noise.two_qubit_depol if len(qubits) == 2 else noise.single_qubit_depol
-                    yield _Noise(qubits, p), pos, None
+                    yield _Noise(qubits, p), qubits, None
         if layer_idx in idle:
             qubits, probs = zip(*idle[layer_idx])
-            yield _Idle(qubits, probs), axes(qubits), None
+            yield _Idle(qubits, probs), qubits, None
 
 
 def _members(state: PureState | DensityState) -> np.ndarray:
@@ -282,9 +266,10 @@ def _bit_strings(bits: np.ndarray) -> list[str]:
 def _shared_frames(x: np.ndarray, z: np.ndarray) -> list[PauliFrame]:
     """A ``PauliFrame`` per row of X and Z bits (0/1); equal rows share one."""
     labels = _bit_strings(np.concatenate([x, z], axis=1))
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    frames = [PauliFrame(x[row].tolist(), z[row].tolist()) for row in first]
-    return [frames[i] for i in inverse]
+    x, z = x.astype(np.int8), z.astype(np.int8)  # whose tolist gives ints, not bools
+    frames = {label: PauliFrame(x[row].tolist(), z[row].tolist())  # from one row per label
+              for label, row in dict(zip(labels, range(len(labels)))).items()}
+    return [frames[label] for label in labels]
 
 
 def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
@@ -305,8 +290,10 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
     state = type(single)(_members(single)[None], validate=False)  # a batch of one branch
     weights = [1.0]
     reported = np.zeros((1, circuit.measure_count), dtype=bool)  # columns z1 x1 z2 x2 ...
+    measured: list[int] = []  # sorted: the register drops each qubit when it is measured
 
-    for op, pos, arg in _walk(circuit, config):
+    for op, qubits, arg in _walk(circuit, config):
+        pos = tuple(q - bisect.bisect(measured, q) for q in qubits)  # the qubits' axes
         if isinstance(op, _Noise):
             apply_depolarizing(state, pos, op.p)
         elif isinstance(op, _Idle):
@@ -318,6 +305,7 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
             state.prepare_input(pos[0], config.input)
         elif isinstance(op, MeasureOp):
             state, weights, reported = _branch_measurement(state, weights, reported, op, pos[0], arg)
+            bisect.insort(measured, op.qubit)
         else:
             _recover(state, _recovery_groups(reported, op), pos[0], arg)
 
@@ -407,25 +395,46 @@ def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
     too, independent of the faults, and each reported bit r_j is 1 with
     probability (p10 + 1 - p01)/2, independently: the histogram is that
     product. A fault acts through its output Pauli times the recovery of
-    the reported bits it flips, and a k-qubit depolarizing site of p is each
-    of its 4^k - 1 Paulis applied independently with probability
-    (1 - (1 - p)^(1 / (2 4^(k-1)))) / 2. A readout flip has its law given
-    r_j, and with ``noisy_recovery`` the site after each recovery pulse
-    counts once per pulse that r fires; the pulses of a recovery multiply to
-    a Pauli, so they leave every frame's bits as they are, and a
-    depolarizing site commutes with them.
-
-    One walk tables the faults in frame arrays X and Z with one row per
-    qubit and one column per fault, and the reported bits each fault flips.
-    An independent fault has the contrast 1 - 2 P(fault); a readout flip and
-    a recovery pulse's fault depend on the reported bits, so they are kept
+    the reported bits it flips. Of the faults of ``_fault_table``, an
+    independent one has the contrast 1 - 2 P(fault); a readout flip, which
+    has its law given r_j, and a recovery pulse's fault, which counts once
+    per pulse that r fires, depend on the reported bits, so they are kept
     to the scan step of their pair and output. See ``_scan`` for the law.
     """
+    x, z, flips, contrast, fixed, pulse, outcomes, readouts = _fault_table(circuit, config)
+    step, code = _fault_codes(circuit, x, z, flips, fixed)
+    del x, z, flips
+    return RunResult(circuit.family, circuit.n_outputs, circuit.duration_ns, None,
+                     _OutcomeLaw(outcomes), input=config.input, pruned_mass=0.0,
+                     pauli_law=_scan(circuit.n_outputs, step, code, contrast, fixed < 0, pulse,
+                                     readouts))
+
+
+def _fault_table(circuit: Circuit, config: RunConfig):
+    """Every fault of a run of a built circuit as an independent Pauli
+    flip, one column each, carried by one walk to the end of the circuit.
+    A k-qubit depolarizing site of p is each of its 4^k - 1 Paulis applied
+    independently with probability (1 - (1 - p)^(1 / (2 4^(k-1)))) / 2; the
+    site after noisy recovery pulses is tabled once (the pulses multiply to
+    a Pauli, which leaves the frames' bits and commutes with the site).
+
+    Returns (x, z, flips, contrast, fixed, pulse, outcomes, readouts): per
+    fault, its X and Z bits on the outputs and the measured columns it
+    flips (a row each, packed 8 faults to a byte, see ``_add_faults``), its
+    contrast 1 - 2 P, the scan step of a fault that depends on the reported
+    bits (a readout flip's pair, a noisy recovery pulse's output; else -1)
+    and whether it follows a recovery pulse; then each measurement's
+    (column, P(0), P(1)) and each readout flip's (fault, op, confusion).
+    """
     steps = list(_walk(circuit, config))
-    total = sum(_fault_count(op, arg) for op, _, arg in steps)  # at most this many columns
-    x = np.zeros((circuit.qubit_count, total), dtype=bool)
-    z = np.zeros_like(x)
-    flips = np.zeros((circuit.measure_count, total), dtype=bool)
+    # At most this many columns: a site's Paulis, a readout flip, and for each
+    # qubit at its start and after each gate or readout, one idle site's.
+    total = 3 * circuit.qubit_count + sum(
+        4 ** len(op.qubits) - 1 + 3 * len(op.qubits) if isinstance(op, _Noise)
+        else 4 if isinstance(op, MeasureOp) else 3 * (arg is not None) for op, _, arg in steps)
+    frames = np.zeros((2, circuit.qubit_count, -(-total // 8)), dtype=np.uint8)
+    x, z = frames  # the X and Z bits
+    flips = np.zeros((circuit.measure_count, x.shape[1]), dtype=np.uint8)
     contrast = np.ones(total)
     fixed = np.full(total, -1)  # the scan step of a fault that depends on the reported bits
     pulse = np.zeros(total, dtype=bool)  # the faults of a noisy recovery's pulses
@@ -437,7 +446,7 @@ def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
             open_site[list(op.targets)] = -1
         elif isinstance(op, MeasureOp):
             flips[op.column] = x[op.qubit]
-            flips[op.column, start] = True
+            flips[op.column, start >> 3] |= 128 >> (start & 7)
             fixed[start] = op.slot
             outcomes.append((op.column, (arg.p01 + 1.0 - arg.p10) / 2.0,
                              (arg.p10 + 1.0 - arg.p01) / 2.0))
@@ -446,65 +455,48 @@ def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
             start += 1
         elif isinstance(op, _Noise):  # after a gate, so it never joins an open site
             width = len(op.qubits)
-            _add_faults(x, z, start, op.qubits)
+            _add_faults(frames, start, op.qubits)
             contrast[start:start + 4**width - 1] = (1.0 - op.p) ** (0.5 / 4 ** (width - 1))
             if width == 1:
                 open_site[op.qubits] = start
             start += 4**width - 1
         elif isinstance(op, _Idle):
-            start = _add_one_qubit_sites(x, z, contrast, open_site, start, op.qubits, op.probs)
+            start = _add_one_qubit_sites(frames, contrast, open_site, start, op.qubits, op.probs)
         elif isinstance(op, RecoverOp) and arg is not None:  # the site after each pulse
-            _add_faults(x, z, start, (op.qubit,))
+            _add_faults(frames, start, (op.qubit,))
             rows = slice(start, start + 3)
             contrast[rows] = math.sqrt(1.0 - arg)
             fixed[rows] = op.output_index - 1
             pulse[rows] = True
             start += 3
-    x, z, flips = x[:, :start], z[:, :start], flips[:, :start]
-    contrast, fixed, pulse = contrast[:start], fixed[:start], pulse[:start]
-    step, code = _fault_codes(circuit, x, z, flips, fixed)
-    del x, z, flips
-    return RunResult(
-        family=circuit.family,
-        n_outputs=circuit.n_outputs,
-        duration_ns=circuit.duration_ns,
-        output_state=None,
-        histogram=_OutcomeLaw(outcomes),
-        input=config.input,
-        pruned_mass=0.0,
-        pauli_law=_scan(circuit.n_outputs, step, code, contrast, fixed < 0, pulse, readouts),
-    )
+    outputs, used = list(circuit.outputs), -(-start // 8)
+    return (x[outputs, :used], z[outputs, :used], flips[:, :used].copy(), contrast[:start],
+            fixed[:start], pulse[:start], outcomes, readouts)
 
 
-def _fault_count(op, arg) -> int:
-    """Fault columns of one step of the walk: the non-identity Paulis of a
-    depolarizing site or of each idle slot (the site of noisy recovery
-    pulses counts once), or the flip of a readout."""
-    if isinstance(op, _Noise):
-        return 4 ** len(op.qubits) - 1
-    if isinstance(op, _Idle):
-        return 3 * len(op.qubits)
-    if isinstance(op, MeasureOp):
-        return 1
-    return 3 if isinstance(op, RecoverOp) and arg is not None else 0
+#: The X bits (plane 0) and Z bits (plane 1), one row per qubit, of the non-identity
+#: Paulis of a site on 1 or 2 qubits (2 bits per qubit in the Pauli's index, x then z).
+_SITE_PAULIS = {k: (np.arange(1, 4**k) >> np.arange(2 * k).reshape(k, 2).T[:, :, None]) & 1
+                for k in (1, 2)}
 
 
-#: The X and Z bits, one row per qubit, of the non-identity Paulis of a site
-#: on 1 or 2 qubits (2 bits per qubit in the Pauli's index, x then z).
-_SITE_PAULIS = {k: [(np.arange(1, 4**k) >> bit) & 1 for bit in range(2 * k)] for k in (1, 2)}
-
-
-def _add_faults(x: np.ndarray, z: np.ndarray, start: int, qubits) -> None:
+def _add_faults(frames: np.ndarray, start: int, qubits) -> None:
     """Set the X and Z bits of every non-identity Pauli of a site on
-    ``qubits`` in the fault columns from ``start`` on."""
-    bits = _SITE_PAULIS[len(qubits)]
-    cols = slice(start, start + len(bits[0]))
-    for j, q in enumerate(qubits):
-        x[q, cols] = bits[2 * j]
-        z[q, cols] = bits[2 * j + 1]
+    ``qubits`` in the fault columns from ``start`` on, in ``frames``: the X
+    and Z planes, faults packed 8 to a byte as ``np.packbits`` packs them."""
+    first = start >> 3
+    for q, bits in zip(qubits, _site_bytes(len(qubits), start & 7)):
+        frames[:, q, first:first + bits.shape[1]] |= bits
 
 
-def _add_one_qubit_sites(x, z, contrast, open_site, start: int, qubits, probs) -> int:
+@functools.cache
+def _site_bytes(k: int, offset: int) -> tuple[np.ndarray, ...]:
+    """Per qubit, the planes of ``_SITE_PAULIS[k]`` packed from bit ``offset`` of a byte on."""
+    packed = np.packbits(np.pad(_SITE_PAULIS[k], ((0, 0), (0, 0), (offset, 0))), axis=2)
+    return tuple(packed.transpose(1, 0, 2))
+
+
+def _add_one_qubit_sites(frames, contrast, open_site, start: int, qubits, probs) -> int:
     """Add a one-qubit depolarizing site of ``probs[i]`` on each ``qubits[i]``
     and return the next free fault column.
 
@@ -520,7 +512,8 @@ def _add_one_qubit_sites(x, z, contrast, open_site, start: int, qubits, probs) -
     contrast[first[joined, None] + np.arange(3)] *= c[joined]
     new = qubits[~joined, None]
     cols = start + np.arange(3 * len(new)).reshape(-1, 3)
-    x[new, cols], z[new, cols] = _SITE_PAULIS[1]
+    for q, col in zip(new[:, 0].tolist(), cols[:, 0].tolist()):
+        _add_faults(frames, col, (q,))
     contrast[cols] = c[~joined]
     open_site[new[:, 0]] = cols[:, 0]
     return start + cols.size
@@ -528,7 +521,8 @@ def _add_one_qubit_sites(x, z, contrast, open_site, start: int, qubits, probs) -
 
 def _fault_codes(circuit: Circuit, x: np.ndarray, z: np.ndarray, flips: np.ndarray,
                  fixed: np.ndarray):
-    """Each fault's scan step and its 4 scan bits (see ``_PARITY``).
+    """Each fault's scan step and its 4 scan bits (see ``_PARITY``), from
+    the output rows ``x`` and ``z`` of ``_fault_table``.
 
     The output frame of a fault, times the recovery of its reported bits,
     is written as difference bits d_1 ... d_(n-1), x_1 and the Z parity.
@@ -536,17 +530,14 @@ def _fault_codes(circuit: Circuit, x: np.ndarray, z: np.ndarray, flips: np.ndarr
     goes to the step of its lowest d bit unless ``fixed`` names one, and
     must flip no d bit but those two.
     """
-    n, faults = circuit.n_outputs, x.shape[1]
-    outputs = list(circuit.outputs)
-    xo = x[outputs]
-    parity = np.bitwise_xor.reduce(z[outputs], axis=0)
+    n, faults = circuit.n_outputs, len(fixed)
+    x, z, flips = (_unpack(bits, faults) for bits in (x, z, flips))
+    parity = np.bitwise_xor.reduce(z, axis=0)
     d = np.zeros((n + 1, faults), dtype=bool)
-    np.not_equal(xo[:-1], xo[1:], out=d[1:n])
-    x1 = xo[0]
+    np.not_equal(x[:-1], x[1:], out=d[1:n])
+    x1 = x[0]
     # The recovery of each measured column alone, as output X and Z bits.
-    width = len(flips)
-    none = np.zeros((width, circuit.qubit_count), dtype=bool)
-    rx, rz = _output_frames(circuit, none, none, np.eye(width, dtype=bool))
+    rx, rz = _recovery(np.eye(len(flips), dtype=bool), n)
     for column, bits in enumerate(flips):
         d[1 + np.flatnonzero(rx[column, :-1] != rx[column, 1:])] ^= bits
     x1 ^= np.bitwise_xor.reduce(flips[rx[:, 0]], axis=0)
@@ -654,76 +645,120 @@ class _OutcomeLaw(Mapping):
         return math.prod(len(d) for d in self._digits)
 
 
-def _output_frames(circuit: Circuit, x: np.ndarray, z: np.ndarray, bits: np.ndarray):
-    """The output columns of frames ``x`` and ``z``, times the recovery Pauli
-    of each row of measured ``bits`` (columns z1 x1 z2 x2 ...)."""
-    outputs = list(circuit.outputs)
-    x, z = x[:, outputs], z[:, outputs]
-    if bits.shape[1]:
-        index = recovery_indices(bits[:, 0::2], bits[:, 1::2])
-        x ^= (index & 1).astype(bool)
-        z ^= (index >> 1).astype(bool)
-    return x, z
+def _recovery(bits: np.ndarray, n: int):
+    """The X and Z bits, one column per output, of the recovery Pauli of each
+    row of reported ``bits`` (columns z1 x1 z2 x2 ...; none: the identity)."""
+    if not bits.shape[1]:
+        return np.zeros((2, len(bits), n), dtype=bool)
+    index = recovery_indices(bits[:, 0::2], bits[:, 1::2])
+    return (index & 1).astype(bool), (index >> 1).astype(bool)
 
 
 def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     """Monte-Carlo unraveling by Pauli-frame sampling of a circuit that
-    ``build_circuit`` makes (any other raises ValueError).
-
-    Its noiseless outcome m is uniform whatever the input and leaves R(m)|t>
-    on the outputs (R(m) the recovery Pauli of m, |t> the ideal state). So
-    each shot draws m uniformly and carries a Pauli frame, and its record
-    holds its output frame times R(m), the Pauli that takes |t> to its state.
-    The frames of all shots are boolean arrays of shape (shots, qubits) that
-    each step of the walk updates at once.
-    """
+    ``build_circuit`` makes (any other raises ValueError): shots drawn from
+    its ``_fault_table``, the one that its law is computed from."""
     if config.mode != "trajectories":
         raise ValueError("run_trajectory requires trajectory mode")
-    n_out = circuit.n_outputs
     _check_built(circuit)
-    shots, width = config.shots, circuit.measure_count
+    return _sample(circuit, config, _fault_table(circuit, config))
+
+
+def _sample(circuit: Circuit, config: RunConfig, table) -> RunResult:
+    """Draw ``config.shots`` shots of a run from its fault table.
+
+    The noiseless outcome m is uniform whatever the input and leaves R(m)|t>
+    on the outputs (R the recovery Pauli, |t> the ideal state). A shot draws
+    m, and the faults that fire XOR in their output Paulis and flipped bits;
+    each readout flips given its true bit, and each noisy recovery pulse
+    fires its fault once per pulse of the reported bits' recovery, which
+    joins the frame (feedforward) or is the recorded ``PauliFrame`` (frame
+    update). The record holds the frame times R(m). All trials are drawn at
+    once: each independent fault, each readout at the larger of its flip
+    probabilities (a success flips with the true bit's share), and 4 slots
+    per pulse fault, of which a shot keeps as many as its recovery has.
+    """
+    x, z, flips, contrast, fixed, pulse, _, readouts = table
+    n, shots = circuit.n_outputs, config.shots
     rng = np.random.default_rng(config.seed)
-    ref = rng.integers(0, 2, size=(shots, width), dtype=bool)  # columns z1 x1 z2 x2 ...
-    x = np.zeros((shots, circuit.qubit_count), dtype=bool)
-    z = np.zeros_like(x)
-    reported = np.zeros_like(ref)
-    marks = np.zeros((shots, n_out), dtype=int)  # recovery indices a FrameMarkOp records
+    ref = rng.integers(0, 2, size=(shots, len(flips)), dtype=bool)  # columns z1 x1 z2 x2 ...
+    faults, pulses = np.flatnonzero(fixed < 0), np.flatnonzero(pulse)
+    column = np.array([op.column for _, op, _ in readouts], dtype=int)
+    p10, p01 = np.array([[c.p10, c.p01] for _, _, c in readouts]).reshape(-1, 2).T
+    p_max = np.maximum(p10, p01)
+    trials = np.concatenate([(1.0 - contrast[faults]) / 2.0, p_max,
+                             np.tile((1.0 - contrast[pulses]) / 2.0, 4)])
+    shot, cell = _bernoulli_hits(rng, shots, trials)
 
-    for op, _, arg in _walk(circuit, config):
-        if isinstance(op, _Noise):
-            _add_errors(x, z, op.qubits, op.p, rng)
-        elif isinstance(op, _Idle):
-            cols = list(op.qubits)
-            ex, ez = sample_site_errors(shots, depolarizing_sample_prob(np.array(op.probs), 1), rng)
-            x[:, cols] ^= ex
-            z[:, cols] ^= ez
-        elif isinstance(op, GateOp):
-            _conjugate(x, z, op)
-        elif isinstance(op, MeasureOp):
-            bits = ref[:, op.column] ^ x[:, op.qubit]
-            reported[:, op.column] = noisy_readouts(bits, arg, rng)
-        elif isinstance(op, RecoverOp):
-            _recover_frames(x, z, _recovery_groups(reported, op), op.qubit, arg, rng)
-        elif isinstance(op, FrameMarkOp) and op.output_index == 1:
-            marks = recovery_indices(reported[:, 0::2], reported[:, 1::2])
+    # The output X bits, output Z bits and flipped bits, packed, of the fault
+    # of each cell that succeeds: row ``at[cell]`` of ``rows`` (a readout's is unused).
+    succeeded = np.bincount(cell, minlength=trials.size) > 0
+    at = np.cumsum(succeeded) - 1
+    fired = np.concatenate([faults, np.zeros_like(column), np.tile(pulses, 4)])[succeeded]
+    mask = (128 >> (fired & 7)).astype(np.uint8)
+    rows = np.concatenate([np.packbits(bits[:, fired >> 3] & mask != 0, axis=0)
+                           for bits in (x, z, flips)]).T
+    ends = np.cumsum([0] + [-(-len(bits) // 8) for bits in (x, z, flips)])
+    frame = np.zeros((shots, ends[-1]), dtype=np.uint8)
+    hit = cell < faults.size
+    _xor_rows(frame, shot[hit], rows[at[cell[hit]]])
 
-    # R(m) acts on |t> at the end of the circuit, so it joins the output
-    # frames after the walk; without measurements it is the identity.
-    x, z = _output_frames(circuit, x, z, ref)
+    reported = ref ^ _unpack(frame[:, ends[2]:], len(flips))  # the true bits
+    hit = (cell >= faults.size) & (cell < faults.size + column.size)
+    read, r = shot[hit], cell[hit] - faults.size
+    flip = rng.random(read.size) * p_max[r] < np.where(reported[read, column[r]], p01[r], p10[r])
+    reported[read[flip], column[r[flip]]] ^= True
+
+    rx, rz = _recovery(reported, n)
+    hit = cell >= faults.size + column.size
+    if pulses.size:
+        slot, index = np.divmod(cell[hit] - faults.size - column.size, pulses.size)
+        hit[hit] = slot < (rx + 3 * rz)[shot[hit], fixed[pulses[index]]]  # X is 1 pulse, Z 3
+        _xor_rows(frame, shot[hit], rows[at[cell[hit]]])
+    x, z = _unpack(frame[:, :ends[1]], n), _unpack(frame[:, ends[1]:ends[2]], n)
+    del shot, cell, succeeded, at, fired, rows, frame, hit  # before the records, the peak
+    if circuit.family == FAMILY_FEEDFORWARD:
+        x, z = x ^ rx, z ^ rz
+    if circuit.family != FAMILY_PAULI_FRAME:  # only a frame update records R(reported)
+        rx[:] = rz[:] = False
+    mx, mz = _recovery(ref, n)  # R(m); the identity without measurements
     keys = _bit_strings(reported)
     counts = Counter(keys)
-    frames = _shared_frames(marks & 1, marks >> 1)
-    records = [ShotRecord(*shot) for shot in zip(keys, frames, _shared_frames(x, z))]
-    return RunResult(
-        family=circuit.family,
-        n_outputs=n_out,
-        duration_ns=circuit.duration_ns,
-        output_state=None,
-        histogram={key: counts[key] for key in sorted(counts)},
-        shots=shots,
-        records=records,
-        input=config.input,
-    )
+    records = [ShotRecord(*shot) for shot in zip(keys, _shared_frames(rx, rz),
+                                                   _shared_frames(x ^ mx, z ^ mz))]
+    return RunResult(circuit.family, n, circuit.duration_ns, None,
+                     {key: counts[key] for key in sorted(counts)},
+                     shots=shots, records=records, input=config.input)
+
+
+def _bernoulli_hits(rng, shots: int, probs: np.ndarray):
+    """The successes of ``shots`` independent trials of each cell i, each of
+    probability ``probs[i]``, as (shot, cell) arrays sorted by shot, then
+    cell, in time and memory that go with the successes: a cell's count is
+    binomial and its shots a uniform set of that many, drawn uniformly with
+    the shots it drew twice drawn again."""
+    cells = len(probs)
+    want = rng.binomial(shots, probs)
+    key = np.zeros(0, dtype=np.int64)  # shot * cells + cell
+    missing = want
+    while missing.any():
+        cell = np.repeat(np.arange(cells), missing)
+        key = np.sort(np.concatenate([key, rng.integers(0, shots, size=cell.size) * cells + cell]))
+        key = key[np.diff(key, prepend=-1) != 0]
+        missing = want - np.bincount(key % cells, minlength=cells)
+    return np.divmod(key, cells)
+
+
+def _xor_rows(out: np.ndarray, shot: np.ndarray, rows: np.ndarray) -> None:
+    """XOR each of ``rows`` into the row of ``out`` that ``shot`` (sorted) names."""
+    if shot.size:
+        first = np.flatnonzero(np.diff(shot, prepend=-1))
+        out[shot[first]] ^= np.bitwise_xor.reduceat(rows, first, axis=0)
+
+
+def _unpack(packed: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` bits of each row of ``packed``, as booleans."""
+    return np.unpackbits(packed, axis=1, count=width).view(bool)
 
 
 def _check_built(circuit: Circuit) -> None:
@@ -807,33 +842,6 @@ def _conjugate(x: np.ndarray, z: np.ndarray, gate: GateOp) -> None:
             x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
 
 
-def _add_errors(x: np.ndarray, z: np.ndarray, qubits, p: float, rng) -> None:
-    """XOR into every frame a sampled Pauli whose average is a depolarizing
-    channel of p on the qubits."""
-    cols = list(qubits)
-    ex, ez = sample_pauli_errors(len(x), len(cols), depolarizing_sample_prob(p, len(cols)), rng)
-    x[:, cols] ^= ex
-    z[:, cols] ^= ez
-
-
-def _recover_frames(x, z, groups, qubit: int, p: float | None, rng) -> None:
-    """Apply each group's recovery pulses to its shots' frames.
-
-    The pulses multiply to the recovery Pauli, so each group's frames are
-    carried through them (with a sampled error after each pulse when ``p``
-    is set) and the recovery Pauli is XORed in.
-    """
-    for value, rows in groups:
-        gx, gz = x[rows], z[rows]
-        for pulse in _recovery_pulses(value, qubit):
-            _conjugate(gx, gz, pulse)
-            if p is not None:
-                _add_errors(gx, gz, (qubit,), p, rng)
-        gx[:, qubit] ^= bool(value & 1)
-        gz[:, qubit] ^= bool(value & 2)
-        x[rows], z[rows] = gx, gz
-
-
 def run(circuit: Circuit, config: RunConfig) -> RunResult:
     """Run a circuit that ``build_circuit`` makes in the config's mode: a
     Pauli law in exact mode, sampled frames in trajectory mode. Any other
@@ -847,14 +855,19 @@ def run(circuit: Circuit, config: RunConfig) -> RunResult:
 def run_inputs(circuit: Circuit, configs: list[RunConfig]) -> list[RunResult]:
     """``run`` of each config, where the configs differ only in ``input``.
 
-    A Pauli law does not depend on the input (only the result's ``input``
-    field does), so exact runs share one law.
+    Neither a Pauli law nor a fault table depends on the input (only the
+    result's ``input`` field does), so exact runs share one law, and
+    trajectory runs share one fault table that each samples with its seed.
     """
     if any(dataclasses.replace(c, input=configs[0].input) != configs[0] for c in configs[1:]):
         raise ValueError("run_inputs needs configs that differ only in input")
-    if not configs or configs[0].mode != "exact":
-        return [run(circuit, c) for c in configs]
-    law = run(circuit, configs[0])
+    if not configs:
+        return []
+    _check_built(circuit)
+    if configs[0].mode == "trajectories":
+        table = _fault_table(circuit, configs[0])
+        return [_sample(circuit, c, table) for c in configs]
+    law = _run_law(circuit, configs[0])
     return [dataclasses.replace(law, input=c.input) for c in configs]
 
 

@@ -70,8 +70,8 @@ class PauliFrame:
     z_flips: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x_flips", tuple(int(b) for b in self.x_flips))
-        object.__setattr__(self, "z_flips", tuple(int(b) for b in self.z_flips))
+        object.__setattr__(self, "x_flips", tuple(map(int, self.x_flips)))
+        object.__setattr__(self, "z_flips", tuple(map(int, self.z_flips)))
         if len(self.x_flips) != len(self.z_flips):
             raise ValueError("frame flag vectors must have equal length")
 
@@ -89,10 +89,10 @@ def recovery_indices(z, x) -> np.ndarray:
 
     ``z`` and ``x`` hold the n-1 z and x bits in their last axis (one row
     per shot, or a single row); the result holds the n two-bit indices in
-    its last axis.
+    its last axis, as uint8: a row of bits per shot takes a byte per bit.
     """
-    z = np.asarray(z, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
+    z = np.asarray(z, dtype=np.uint8)
+    x = np.asarray(x, dtype=np.uint8)
     parity = np.bitwise_xor.accumulate(x, axis=-1)
     apply_x = np.concatenate([parity, parity[..., -1:]], axis=-1)
     apply_z = np.concatenate([z, np.zeros_like(z[..., :1])], axis=-1)

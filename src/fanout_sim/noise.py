@@ -1,11 +1,11 @@
 """Error channels: depolarizing gate/idle noise and readout misassignment.
 
-All channels preserve trace and Hermiticity. Trajectory unraveling of a
-depolarizing channel with probability p samples a uniform non-identity
-Pauli with probability p * (d^2 - 1) / d^2 (see ``depolarizing_sample_prob``),
-so that averaging trajectories reproduces the channel exactly. The samplers
-draw for many shots at once; their one-shot forms ``sample_pauli_error``
-and ``noisy_readout`` call them with a single shot.
+All channels preserve trace and Hermiticity. A depolarizing channel of p
+is a uniform non-identity Pauli applied with probability p (d^2 - 1) / d^2
+(``depolarizing_sample_prob``), which ``sample_pauli_errors`` draws for many
+shots at once; ``noisy_readouts`` flips many bits at once, as tomography
+does. ``sample_pauli_error`` and ``noisy_readout`` are their one-shot forms.
+Trajectory runs draw the faults of the engine's fault table instead.
 """
 from __future__ import annotations
 
@@ -243,26 +243,6 @@ def sample_pauli_errors(
         for j in range(width):
             x[hit, j] = (pauli >> (2 * j)) & 1
             z[hit, j] = (pauli >> (2 * j + 1)) & 1
-    return x, z
-
-
-def sample_site_errors(
-    shots: int, probs: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent one-qubit errors for many shots in one draw: on site j,
-    the identity with probability 1 - probs[j], else a uniform X, Y or Z.
-
-    Returns the X and Z bits as two boolean arrays of shape (shots, sites).
-    """
-    probs = np.asarray(probs, dtype=float)
-    if np.any((probs < 0.0) | (probs > 1.0)):
-        raise ValueError(f"error probabilities {probs} outside [0, 1]")
-    hit = rng.random((shots, len(probs))) < probs
-    pauli = rng.integers(1, 4, size=np.count_nonzero(hit))  # x bit, then z bit
-    x = np.zeros(hit.shape, dtype=bool)
-    z = np.zeros(hit.shape, dtype=bool)
-    x[hit] = pauli & 1
-    z[hit] = pauli >> 1
     return x, z
 
 

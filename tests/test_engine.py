@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import pickle
 from functools import reduce
 from itertools import product
 from pathlib import Path
@@ -217,6 +218,47 @@ def test_pauli_law_matches_trajectories_past_the_dense_ceiling(family, n, noisy_
     assert abs(joint_x_expectation(sampled) - jx) <= jx_bound
 
 
+#: Gate errors 3 and 200 times the device's, T2 twice its, readout that
+#: favours 0 and one qubit whose readout favours 1.
+CELL_NOISE = NoiseModel(
+    two_qubit_depol=0.05,
+    single_qubit_depol=0.1,
+    confusion=ConfusionMatrix(p01=0.15, p10=0.02),
+    t2_echo=100e-6,
+    confusion_overrides={1: ConfusionMatrix(p01=0.05, p10=0.3)},
+)
+
+
+@pytest.mark.parametrize(
+    "family,n", [(f, n) for f in ("feedforward", "pauli_frame") for n in (2, 3, 4)]
+    + [("unitary", 3), ("unitary", 4)])
+def test_sampled_cells_and_keys_match_the_law(family, n):
+    """100k seeded shots against the law, cell by cell: the frequency of
+    each of the six ``pauli_law`` cells (x = 0...0, 1...1 or other, times
+    the Z parity), counted from the records, and of each reported key lies
+    within 5 binomial standard errors of its probability under the law.
+    The noise is strong, but not so strong that the cells saturate: a
+    sampler that drew each output's pulse faults once, whatever its
+    recovery, would move a feedforward cell by some 8 standard errors."""
+    shots = 100_000
+    circuit = build_circuit(family, n)
+    config = RunConfig(input=PLUS, noise=CELL_NOISE, noisy_recovery=True)
+    law = run(circuit, config)
+    sampled = run(circuit, dataclasses.replace(config, mode="trajectories", shots=shots, seed=18))
+    x = np.array([r.pauli.x_flips for r in sampled.records], dtype=bool)
+    x ^= np.array([r.frame.x_flips for r in sampled.records], dtype=bool)
+    parity = np.array([sum(r.pauli.z_flips) + sum(r.frame.z_flips) for r in sampled.records]) & 1
+    cell = np.where(~x.any(axis=1), 0, np.where(x.all(axis=1), 1, 2))
+    counts = np.zeros((3, 2))
+    np.add.at(counts, (cell, parity), 1)
+    probs = law.pauli_law
+    np.testing.assert_array_less(np.abs(counts / shots - probs),
+                                 5 * np.sqrt(probs * (1 - probs) / shots) + 1e-12)
+    assert set(sampled.histogram) <= set(law.histogram)
+    for key, p in law.histogram.items():
+        assert abs(sampled.histogram.get(key, 0) / shots - p) <= 5 * math.sqrt(p * (1 - p) / shots)
+
+
 class TestRunDispatch:
     def test_built_circuit_runs_as_a_pauli_law(self):
         config = RunConfig(input=PLUS, noise=NoiseModel.device_medians())
@@ -287,6 +329,30 @@ class TestRunDispatch:
         configs = [RunConfig(input=PLUS), RunConfig(input=ONE, noise=NoiseModel())]
         with pytest.raises(ValueError, match="differ only in input"):
             run_inputs(build_constant_depth(2), configs)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_trajectory_run_inputs_builds_one_fault_table(self, family, monkeypatch):
+        """A 5-point trajectory sweep propagates the faults once, and each
+        point's records and histogram are those of its own ``run``, byte
+        for byte."""
+        circuit = build_circuit(family, 3)
+        configs = [RunConfig(input=InputState(float(a), 0.5), noise=CELL_NOISE, mode="trajectories",
+                             shots=300, seed=7, noisy_recovery=True)
+                   for a in np.linspace(0.0, math.pi, 5)]
+        expected = [run(circuit, config) for config in configs]
+        tables = []
+
+        def spy(circuit, config, _original=engine._fault_table):
+            tables.append(config.input)
+            return _original(circuit, config)
+
+        monkeypatch.setattr(engine, "_fault_table", spy)
+        results = run_inputs(circuit, configs)
+        assert len(tables) == 1
+        for result, want, config in zip(results, expected, configs):
+            assert result.input == config.input
+            assert pickle.dumps(result.records) == pickle.dumps(want.records)
+            assert pickle.dumps(result.histogram) == pickle.dumps(want.histogram)
 
 
 #: The inputs of a 9-point exact sweep: theta over [0, pi] at phi = 0, and phi
