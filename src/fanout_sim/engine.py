@@ -1,12 +1,17 @@
 """Protocol execution: an exact Pauli law, dense branch enumeration, and
 trajectory sampling.
 
-The law and the sampler share one fault table (``_fault_table``), built by
-one walk of the circuit (``_walk``); ``run_exact`` runs that walk alone, on
-its dense state. The walk resolves every operation's register positions,
-noise sites and readout confusion in one place, and every engine keeps
-reported bits as boolean arrays (one row per branch, shot or fault) from
-which ``feedforward.recovery_indices`` picks each recovery.
+The law and the sampler share one fault table (``_fault_table``) in two
+parts. The faults' structure comes from one walk of the circuit (``_walk``)
+and is cached by circuit, noise on or off and noisy recovery
+(``_structure``), as Stim analyses a circuit once and samples it many
+times; each run then reads its noise values into the faults' contrasts and
+readout confusions, so a noise model edited between runs takes effect.
+``run_exact`` runs the walk alone, on its dense state, with the same noise
+values. The walk lists every operation's qubits and noise sites in one
+place, and every engine keeps reported bits as boolean arrays (one row per
+branch, shot or fault) from which ``feedforward.recovery_indices`` picks
+each recovery.
 
 Every operation of a circuit that ``build_circuit`` makes is Clifford after
 the input pulse and all noise is Pauli, after the CHP tableau (Aaronson &
@@ -46,6 +51,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,9 +67,9 @@ from .circuits import (
     Operation,
     PrepareInputOp,
     RecoverOp,
+    _idle_events,
     build_constant_depth,
     build_unitary,
-    idle_events,
 )
 from .feedforward import PauliFrame, recovery_indices
 from .noise import ConfusionMatrix, NoiseModel, apply_depolarizing
@@ -185,38 +191,33 @@ def _recovery_pulses(index: int, qubit: int) -> tuple[GateOp, ...]:
 
 @dataclass(frozen=True)
 class _Noise:
-    """A depolarizing site: probability ``p`` on ``qubits``."""
+    """The depolarizing site after a gate or the input pulse, on ``qubits``."""
 
     qubits: tuple[int, ...]
-    p: float
 
 
 @dataclass(frozen=True)
 class _Idle:
-    """The idle slots of one layer: a one-qubit depolarizing site of
-    probability ``probs[i]`` on each of ``qubits[i]``."""
+    """The idle slots of one layer: a one-qubit depolarizing site on each of
+    ``qubits``, ``qubits[i]`` idle for ``durations[i]`` ns."""
 
     qubits: tuple[int, ...]
-    probs: tuple[float, ...]
+    durations: tuple[float, ...]
 
 
-def _walk(circuit: Circuit, config: RunConfig):
-    """The steps that every engine executes, in order, as (op, qubits, arg).
+def _walk(circuit: Circuit, noisy: bool):
+    """The steps that every engine executes, in order, as (op, qubits).
 
     ``op`` is an operation of the circuit (decoupling pulses, simulated as
-    identity, are left out), a ``_Noise`` site or an ``_Idle`` step: with
-    noise, a site follows every gate and the input pulse, and a layer with
-    idle slots ends with one step for all of them. ``qubits`` are the ones
-    it acts on. ``arg`` is a measurement's readout confusion (perfect when
-    noiseless) or the depolarizing probability after each recovery pulse
-    (None unless ``noisy_recovery``).
+    identity, are left out), a ``_Noise`` site or an ``_Idle`` step: when
+    ``noisy``, a site follows every gate and the input pulse, and a layer
+    with idle slots ends with one step for all of them. ``qubits`` are the
+    ones it acts on. The walk reads no noise values; each engine resolves
+    them from its ``NoiseModel``.
     """
-    noise = config.noise
-    recovery_p = noise.single_qubit_depol if noise is not None and config.noisy_recovery else None
     idle: dict[int, list[tuple[int, float]]] = {}
-    idle_p = functools.cache(lambda duration: noise.idle_probability(duration * 1e-9))
-    for layer_idx, qubit, duration in idle_events(circuit) if noise is not None else ():
-        idle.setdefault(layer_idx, []).append((qubit, idle_p(duration)))
+    for layer_idx, qubit, duration in _idle_events(circuit) if noisy else ():
+        idle.setdefault(layer_idx, []).append((qubit, duration))
     for layer_idx, layer in enumerate(circuit.layers):
         for op in layer.ops:
             if not isinstance(op, Operation):
@@ -224,18 +225,17 @@ def _walk(circuit: Circuit, config: RunConfig):
             if isinstance(op, DecoupleOp):
                 continue
             qubits = op.targets if isinstance(op, GateOp) else (op.qubit,)
-            if isinstance(op, MeasureOp):
-                yield op, qubits, ConfusionMatrix() if noise is None else noise.confusion_for(op.qubit)
-            elif isinstance(op, (RecoverOp, FrameMarkOp)):
-                yield op, qubits, recovery_p if isinstance(op, RecoverOp) else None
-            else:  # a gate or the input pulse, then its depolarizing site
-                yield op, qubits, None
-                if noise is not None:
-                    p = noise.two_qubit_depol if len(qubits) == 2 else noise.single_qubit_depol
-                    yield _Noise(qubits, p), qubits, None
+            yield op, qubits
+            if noisy and isinstance(op, (GateOp, PrepareInputOp)):
+                yield _Noise(qubits), qubits
         if layer_idx in idle:
-            qubits, probs = zip(*idle[layer_idx])
-            yield _Idle(qubits, probs), qubits, None
+            qubits, durations = zip(*idle[layer_idx])
+            yield _Idle(qubits, durations), qubits
+
+
+def _confusion(noise: NoiseModel | None, qubit: int) -> ConfusionMatrix:
+    """The readout confusion of ``qubit`` (perfect when noiseless)."""
+    return ConfusionMatrix() if noise is None else noise.confusion_for(qubit)
 
 
 def _members(state: PureState | DensityState) -> np.ndarray:
@@ -291,23 +291,28 @@ def run_exact(circuit: Circuit, config: RunConfig) -> RunResult:
     weights = [1.0]
     reported = np.zeros((1, circuit.measure_count), dtype=bool)  # columns z1 x1 z2 x2 ...
     measured: list[int] = []  # sorted: the register drops each qubit when it is measured
+    recovery_p = noise.single_qubit_depol if noise is not None and config.noisy_recovery else None
+    idle_p = functools.cache(lambda duration: noise.idle_probability(duration * 1e-9))
 
-    for op, qubits, arg in _walk(circuit, config):
+    for op, qubits in _walk(circuit, noise is not None):
         pos = tuple(q - bisect.bisect(measured, q) for q in qubits)  # the qubits' axes
         if isinstance(op, _Noise):
-            apply_depolarizing(state, pos, op.p)
+            p = noise.two_qubit_depol if len(qubits) == 2 else noise.single_qubit_depol
+            apply_depolarizing(state, pos, p)
         elif isinstance(op, _Idle):
-            for q, p in zip(pos, op.probs):
-                apply_depolarizing(state, (q,), p)
+            for q, duration in zip(pos, op.durations):
+                apply_depolarizing(state, (q,), idle_p(duration))
         elif isinstance(op, GateOp):
             state.apply_gate(op, pos)
         elif isinstance(op, PrepareInputOp):
             state.prepare_input(pos[0], config.input)
         elif isinstance(op, MeasureOp):
-            state, weights, reported = _branch_measurement(state, weights, reported, op, pos[0], arg)
+            state, weights, reported = _branch_measurement(state, weights, reported, op, pos[0],
+                                                           _confusion(noise, op.qubit))
             bisect.insort(measured, op.qubit)
         else:
-            _recover(state, _recovery_groups(reported, op), pos[0], arg)
+            _recover(state, _recovery_groups(reported, op), pos[0],
+                     recovery_p if isinstance(op, RecoverOp) else None)
 
     # Sequential sums in branch order: a pairwise np.sum would move the low bits.
     total = sum(weights)
@@ -399,79 +404,148 @@ def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
     independent one has the contrast 1 - 2 P(fault); a readout flip, which
     has its law given r_j, and a recovery pulse's fault, which counts once
     per pulse that r fires, depend on the reported bits, so they are kept
-    to the scan step of their pair and output. See ``_scan`` for the law.
+    to the scan step of their pair and output. See ``_scan`` for the law:
+    it reads the faults' cached scan codes and this run's contrasts.
     """
-    x, z, flips, contrast, fixed, pulse, outcomes, readouts = _fault_table(circuit, config)
-    step, code = _fault_codes(circuit, x, z, flips, fixed)
-    del x, z, flips
+    faults, contrast, outcomes, readouts = _fault_table(circuit, config)
     return RunResult(circuit.family, circuit.n_outputs, circuit.duration_ns, None,
                      _OutcomeLaw(outcomes), input=config.input, pruned_mass=0.0,
-                     pauli_law=_scan(circuit.n_outputs, step, code, contrast, fixed < 0, pulse,
-                                     readouts))
+                     pauli_law=_scan(circuit.n_outputs, faults.step, faults.code, contrast,
+                                     faults.fixed < 0, faults.pulse, readouts))
+
+
+#: The most fault structures ``_structure`` keeps, least recently used out.
+_STRUCTURES = 8
+
+#: The ``kind`` of a fault whose contrast a one-qubit gate's site, a
+#: two-qubit gate's site or a recovery pulse's site sets (0: a readout
+#: flip's or an idle site's).
+_GATE_1Q, _GATE_2Q, _PULSE = 1, 2, 3
 
 
 def _fault_table(circuit: Circuit, config: RunConfig):
     """Every fault of a run of a built circuit as an independent Pauli
-    flip, one column each, carried by one walk to the end of the circuit.
-    A k-qubit depolarizing site of p is each of its 4^k - 1 Paulis applied
-    independently with probability (1 - (1 - p)^(1 / (2 4^(k-1)))) / 2; the
-    site after noisy recovery pulses is tabled once (the pulses multiply to
-    a Pauli, which leaves the frames' bits and commutes with the site).
+    flip, one column each: the circuit's cached ``_structure`` and the
+    values that the run's noise gives them.
 
-    Returns (x, z, flips, contrast, fixed, pulse, outcomes, readouts): per
-    fault, its X and Z bits on the outputs and the measured columns it
-    flips (a row each, packed 8 faults to a byte, see ``_add_faults``), its
-    contrast 1 - 2 P, the scan step of a fault that depends on the reported
-    bits (a readout flip's pair, a noisy recovery pulse's output; else -1)
-    and whether it follows a recovery pulse; then each measurement's
-    (column, P(0), P(1)) and each readout flip's (fault, op, confusion).
+    A k-qubit depolarizing site of p is each of its 4^k - 1 Paulis applied
+    independently with probability (1 - (1 - p)^(1 / (2 4^(k-1)))) / 2,
+    that is with contrast (1 - p)^(1 / (2 4^(k-1))); idle slots that join
+    an open site multiply its contrasts in walk order, and the site after
+    noisy recovery pulses is tabled once (the pulses multiply to a Pauli,
+    which leaves the frames' bits and commutes with the site).
+
+    Returns (faults, contrast, outcomes, readouts): the ``_structure``,
+    each fault's contrast 1 - 2 P, each measurement's (column, P(0), P(1))
+    and each readout flip's (fault, op, confusion). Only the structure is
+    cached, so a noise model edited between runs takes effect.
     """
-    steps = list(_walk(circuit, config))
+    noise = config.noise
+    faults = _structure(circuit.family, circuit.n_outputs, circuit.timing, noise is not None,
+                        noise is not None and config.noisy_recovery)
+    readouts = [(column, op, _confusion(noise, op.qubit)) for column, op in faults.readouts]
+    outcomes = [(op.column, (conf.p01 + 1.0 - conf.p10) / 2.0, (conf.p10 + 1.0 - conf.p01) / 2.0)
+                for _, op, conf in readouts]
+    if noise is None:
+        return faults, np.ones(len(faults.fixed)), outcomes, readouts
+    values = np.array([1.0, (1.0 - noise.single_qubit_depol) ** 0.5,
+                       (1.0 - noise.two_qubit_depol) ** (0.5 / 4),
+                       math.sqrt(1.0 - noise.single_qubit_depol)])
+    contrast = values[faults.kind]
+    idle_c = np.sqrt(1.0 - np.array([noise.idle_probability(d * 1e-9) for d in faults.durations]))
+    first, duration = faults.idle_sites
+    contrast[first[:, None] + np.arange(3)] = idle_c[duration, None]
+    first, duration = faults.idle_joins  # a joined site's three columns are equal
+    np.multiply.at(contrast, first, idle_c[duration])
+    contrast[faults.joined[:, None] + np.arange(1, 3)] = contrast[faults.joined, None]
+    return faults, contrast, outcomes, readouts
+
+
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _structure(family: str, n: int, timing, noisy: bool, noisy_recovery: bool) -> SimpleNamespace:
+    """The faults of ``_built(family, n, timing)``, with noise on or off and
+    noisy recovery pulses or not, apart from their noise values: one walk
+    carries every fault to the end of the circuit. Every array is read-only.
+
+    ``x``, ``z`` and ``flips`` hold each fault's X and Z bits on the
+    outputs and the measured columns it flips, a row each, packed 8 faults
+    to a byte (see ``_add_faults``). ``fixed`` is the scan step of a fault
+    that depends on the reported bits (a readout flip's pair, a noisy
+    recovery pulse's output; else -1), ``pulse`` whether it follows a
+    recovery pulse, ``step`` and ``code`` its scan step and scan bits
+    (``_fault_codes``), and ``kind`` what sets its contrast. Each idle slot
+    is a column (its site's first fault, the index of its duration in
+    ``durations``) of ``idle_sites`` if it opened the site and of
+    ``idle_joins`` if it joined an open one, in walk order; ``joined`` lists
+    the first faults of the sites that some slot joined. ``readouts`` holds
+    each measurement's (readout flip column, op).
+
+    It reads no noise value and calls no function that a traced benchmark
+    pass counts (``idle_events``, ``measure_count``), so a run on a cached
+    entry does the same counted work as one that builds it.
+    """
+    circuit = _built(family, n, timing)
+    steps = list(_walk(circuit, noisy))
     # At most this many columns: a site's Paulis, a readout flip, and for each
     # qubit at its start and after each gate or readout, one idle site's.
     total = 3 * circuit.qubit_count + sum(
-        4 ** len(op.qubits) - 1 + 3 * len(op.qubits) if isinstance(op, _Noise)
-        else 4 if isinstance(op, MeasureOp) else 3 * (arg is not None) for op, _, arg in steps)
+        4 ** len(qubits) - 1 + 3 * len(qubits) if isinstance(op, _Noise)
+        else 4 if isinstance(op, MeasureOp) else 3 * (noisy_recovery and isinstance(op, RecoverOp))
+        for op, qubits in steps)
     frames = np.zeros((2, circuit.qubit_count, -(-total // 8)), dtype=np.uint8)
     x, z = frames  # the X and Z bits
-    flips = np.zeros((circuit.measure_count, x.shape[1]), dtype=np.uint8)
-    contrast = np.ones(total)
+    flips = np.zeros((len(circuit.measurements()), x.shape[1]), dtype=np.uint8)
     fixed = np.full(total, -1)  # the scan step of a fault that depends on the reported bits
-    pulse = np.zeros(total, dtype=bool)  # the faults of a noisy recovery's pulses
+    kind = np.zeros(total, dtype=np.uint8)
     open_site = np.full(circuit.qubit_count, -1)  # see _add_one_qubit_sites
-    outcomes, readouts, start = [], [], 0
-    for op, _, arg in steps:
+    readouts, durations, start = [], {}, 0
+    idle_first, idle_joined, idle_duration = [], [], []  # per idle slot, in walk order
+    for op, qubits in steps:
         if isinstance(op, GateOp):
             _conjugate(x.T, z.T, op)
-            open_site[list(op.targets)] = -1
+            open_site[list(qubits)] = -1
         elif isinstance(op, MeasureOp):
             flips[op.column] = x[op.qubit]
             flips[op.column, start >> 3] |= 128 >> (start & 7)
             fixed[start] = op.slot
-            outcomes.append((op.column, (arg.p01 + 1.0 - arg.p10) / 2.0,
-                             (arg.p10 + 1.0 - arg.p01) / 2.0))
-            readouts.append((start, op, arg))
+            readouts.append((start, op))
             open_site[op.qubit] = -1
             start += 1
         elif isinstance(op, _Noise):  # after a gate, so it never joins an open site
-            width = len(op.qubits)
-            _add_faults(frames, start, op.qubits)
-            contrast[start:start + 4**width - 1] = (1.0 - op.p) ** (0.5 / 4 ** (width - 1))
+            width = len(qubits)
+            _add_faults(frames, start, qubits)
+            kind[start:start + 4**width - 1] = _GATE_1Q if width == 1 else _GATE_2Q
             if width == 1:
-                open_site[op.qubits] = start
+                open_site[qubits] = start
             start += 4**width - 1
         elif isinstance(op, _Idle):
-            start = _add_one_qubit_sites(frames, contrast, open_site, start, op.qubits, op.probs)
-        elif isinstance(op, RecoverOp) and arg is not None:  # the site after each pulse
-            _add_faults(frames, start, (op.qubit,))
-            rows = slice(start, start + 3)
-            contrast[rows] = math.sqrt(1.0 - arg)
-            fixed[rows] = op.output_index - 1
-            pulse[rows] = True
+            first, joined, start = _add_one_qubit_sites(frames, open_site, start, qubits)
+            idle_first.append(first)
+            idle_joined.append(joined)
+            idle_duration += [durations.setdefault(d, len(durations)) for d in op.durations]
+        elif isinstance(op, RecoverOp) and noisy_recovery:  # the site after each pulse
+            _add_faults(frames, start, qubits)
+            kind[start:start + 3] = _PULSE
+            fixed[start:start + 3] = op.output_index - 1
             start += 3
     outputs, used = list(circuit.outputs), -(-start // 8)
-    return (x[outputs, :used], z[outputs, :used], flips[:, :used].copy(), contrast[:start],
-            fixed[:start], pulse[:start], outcomes, readouts)
+    x, z, flips = x[outputs, :used], z[outputs, :used], flips[:, :used].copy()
+    fixed, kind = fixed[:start].copy(), kind[:start].copy()
+    step, code = _fault_codes(circuit, x, z, flips, fixed)
+    # Per idle slot, in walk order: its site's first column and its duration's index.
+    slots = np.array([np.concatenate([np.zeros(0, dtype=int)] + idle_first), idle_duration],
+                     dtype=np.int32).reshape(2, -1)
+    joined = np.concatenate([np.zeros(0, dtype=bool)] + idle_joined)
+    heads = np.zeros(start, dtype=bool)
+    heads[slots[0, joined]] = True
+    faults = SimpleNamespace(x=x, z=z, flips=flips, fixed=fixed, pulse=kind == _PULSE, step=step,
+                             code=code, kind=kind, idle_sites=slots[:, ~joined],
+                             idle_joins=slots[:, joined], joined=np.flatnonzero(heads),
+                             durations=tuple(durations), readouts=tuple(readouts))
+    for value in vars(faults).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return faults
 
 
 #: The X bits (plane 0) and Z bits (plane 1), one row per qubit, of the non-identity
@@ -496,9 +570,10 @@ def _site_bytes(k: int, offset: int) -> tuple[np.ndarray, ...]:
     return tuple(packed.transpose(1, 0, 2))
 
 
-def _add_one_qubit_sites(frames, contrast, open_site, start: int, qubits, probs) -> int:
-    """Add a one-qubit depolarizing site of ``probs[i]`` on each ``qubits[i]``
-    and return the next free fault column.
+def _add_one_qubit_sites(frames, open_site, start: int, qubits):
+    """Add a one-qubit depolarizing site on each of ``qubits``. Returns the
+    first of each site's three fault columns, whether it joined an open
+    site, and the next free fault column.
 
     ``open_site[q]`` is the first of the three columns of the last such site
     on q, while no gate or readout has touched q since (else -1). Its faults
@@ -506,42 +581,40 @@ def _add_one_qubit_sites(frames, contrast, open_site, start: int, qubits, probs)
     contrasts; a site on any other qubit takes three new columns.
     """
     qubits = np.array(qubits)
-    c = np.sqrt(1.0 - np.array(probs))[:, None]
     first = open_site[qubits]
     joined = first >= 0
-    contrast[first[joined, None] + np.arange(3)] *= c[joined]
-    new = qubits[~joined, None]
-    cols = start + np.arange(3 * len(new)).reshape(-1, 3)
-    for q, col in zip(new[:, 0].tolist(), cols[:, 0].tolist()):
+    new = qubits[~joined]
+    first[~joined] = start + 3 * np.arange(len(new))
+    for q, col in zip(new.tolist(), first[~joined].tolist()):
         _add_faults(frames, col, (q,))
-    contrast[cols] = c[~joined]
-    open_site[new[:, 0]] = cols[:, 0]
-    return start + cols.size
+    open_site[new] = first[~joined]
+    return first, joined, start + 3 * len(new)
 
 
 def _fault_codes(circuit: Circuit, x: np.ndarray, z: np.ndarray, flips: np.ndarray,
                  fixed: np.ndarray):
     """Each fault's scan step and its 4 scan bits (see ``_PARITY``), from
-    the output rows ``x`` and ``z`` of ``_fault_table``.
+    the packed output rows ``x`` and ``z`` and flipped columns ``flips`` of
+    its ``_structure``.
 
     The output frame of a fault, times the recovery of its reported bits,
     is written as difference bits d_1 ... d_(n-1), x_1 and the Z parity.
     Step t closes d_t (d_0 and d_n are kept 0) with d_(t+1) pending; a fault
     goes to the step of its lowest d bit unless ``fixed`` names one, and
-    must flip no d bit but those two.
+    must flip no d bit but those two. The bits are combined packed, and
+    only the d bits, x_1 and the parity are unpacked.
     """
     n, faults = circuit.n_outputs, len(fixed)
-    x, z, flips = (_unpack(bits, faults) for bits in (x, z, flips))
-    parity = np.bitwise_xor.reduce(z, axis=0)
-    d = np.zeros((n + 1, faults), dtype=bool)
-    np.not_equal(x[:-1], x[1:], out=d[1:n])
-    x1 = x[0]
+    d = np.zeros((n + 1, x.shape[1]), dtype=np.uint8)
+    np.bitwise_xor(x[:-1], x[1:], out=d[1:n])
     # The recovery of each measured column alone, as output X and Z bits.
     rx, rz = _recovery(np.eye(len(flips), dtype=bool), n)
     for column, bits in enumerate(flips):
         d[1 + np.flatnonzero(rx[column, :-1] != rx[column, 1:])] ^= bits
-    x1 ^= np.bitwise_xor.reduce(flips[rx[:, 0]], axis=0)
-    parity ^= np.bitwise_xor.reduce(flips[np.count_nonzero(rz, axis=1) & 1 == 1], axis=0)
+    x1 = x[0] ^ np.bitwise_xor.reduce(flips[rx[:, 0]], axis=0)
+    odd = np.count_nonzero(rz, axis=1) & 1 == 1  # columns whose recovery flips the Z parity
+    parity = np.bitwise_xor.reduce(np.concatenate([z, flips[odd]]), axis=0)
+    d, (x1, parity) = _unpack(d, faults), _unpack(np.stack([x1, parity]), faults)
     step = np.where(fixed < 0, np.argmax(d, axis=0), fixed)
     cols = np.arange(faults)
     a, b = d[step, cols], d[step + 1, cols]
@@ -657,7 +730,8 @@ def _recovery(bits: np.ndarray, n: int):
 def run_trajectory(circuit: Circuit, config: RunConfig) -> RunResult:
     """Monte-Carlo unraveling by Pauli-frame sampling of a circuit that
     ``build_circuit`` makes (any other raises ValueError): shots drawn from
-    its ``_fault_table``, the one that its law is computed from."""
+    its ``_fault_table``, the one that its law is computed from, whose
+    structure a later run of the circuit reuses."""
     if config.mode != "trajectories":
         raise ValueError("run_trajectory requires trajectory mode")
     _check_built(circuit)
@@ -678,7 +752,8 @@ def _sample(circuit: Circuit, config: RunConfig, table) -> RunResult:
     probabilities (a success flips with the true bit's share), and 4 slots
     per pulse fault, of which a shot keeps as many as its recovery has.
     """
-    x, z, flips, contrast, fixed, pulse, _, readouts = table
+    faults, contrast, _, readouts = table
+    x, z, flips, fixed, pulse = faults.x, faults.z, faults.flips, faults.fixed, faults.pulse
     n, shots = circuit.n_outputs, config.shots
     rng = np.random.default_rng(config.seed)
     ref = rng.integers(0, 2, size=(shots, len(flips)), dtype=bool)  # columns z1 x1 z2 x2 ...
@@ -858,6 +933,8 @@ def run_inputs(circuit: Circuit, configs: list[RunConfig]) -> list[RunResult]:
     Neither a Pauli law nor a fault table depends on the input (only the
     result's ``input`` field does), so exact runs share one law, and
     trajectory runs share one fault table that each samples with its seed.
+    The table's structure is cached across calls (``_structure``); only its
+    noise values are read once per call.
     """
     if any(dataclasses.replace(c, input=configs[0].input) != configs[0] for c in configs[1:]):
         raise ValueError("run_inputs needs configs that differ only in input")

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import pickle
+import sys
 from functools import reduce
 from itertools import product
 from pathlib import Path
@@ -17,11 +18,14 @@ from fanout_sim.circuits import (
     Circuit,
     Layer,
     PrepareInputOp,
+    TimingModel,
     build_circuit,
     build_constant_depth,
     build_unitary,
 )
+from fanout_sim import circuits as circuits_module
 from fanout_sim import engine
+from fanout_sim import noise as noise_module
 from fanout_sim.engine import (
     BRANCH_PRUNE,
     RunConfig,
@@ -331,28 +335,160 @@ class TestRunDispatch:
             run_inputs(build_constant_depth(2), configs)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_trajectory_run_inputs_builds_one_fault_table(self, family, monkeypatch):
-        """A 5-point trajectory sweep propagates the faults once, and each
-        point's records and histogram are those of its own ``run``, byte
-        for byte."""
+    def test_fault_structure_is_built_once_per_key(self, family, monkeypatch):
+        """A 5-point trajectory sweep builds the circuit's fault structure
+        with one walk, and each point's records and histogram are those of
+        its own ``run``, byte for byte. A later run of the same circuit with
+        another noise model, seed and input builds nothing; noisy recovery,
+        no noise and another timing each build one structure."""
         circuit = build_circuit(family, 3)
         configs = [RunConfig(input=InputState(float(a), 0.5), noise=CELL_NOISE, mode="trajectories",
-                             shots=300, seed=7, noisy_recovery=True)
+                             shots=300, seed=7)
                    for a in np.linspace(0.0, math.pi, 5)]
         expected = [run(circuit, config) for config in configs]
-        tables = []
+        engine._structure.cache_clear()
+        walks = []
 
-        def spy(circuit, config, _original=engine._fault_table):
-            tables.append(config.input)
-            return _original(circuit, config)
+        def spy(circuit, noisy, _original=engine._walk):
+            walks.append(noisy)
+            return _original(circuit, noisy)
 
-        monkeypatch.setattr(engine, "_fault_table", spy)
+        monkeypatch.setattr(engine, "_walk", spy)
         results = run_inputs(circuit, configs)
-        assert len(tables) == 1
+        assert len(walks) == 1
         for result, want, config in zip(results, expected, configs):
             assert result.input == config.input
             assert pickle.dumps(result.records) == pickle.dumps(want.records)
             assert pickle.dumps(result.histogram) == pickle.dumps(want.histogram)
+        other = dataclasses.replace(configs[0], input=ONE, noise=NoiseModel(), seed=11)
+        run(circuit, other)
+        run(circuit, dataclasses.replace(other, mode="exact"))
+        assert len(walks) == 1
+        timing = TimingModel(t_ff_latency=400.0, step_feedforward=528.0)
+        for variant, config in ((circuit, dataclasses.replace(other, noisy_recovery=True)),
+                                (circuit, dataclasses.replace(other, noise=None)),
+                                (build_circuit(family, 3, timing), other)):
+            built = len(walks)
+            run(variant, config)
+            run(variant, dataclasses.replace(config, mode="exact", input=PLUS))
+            assert len(walks) == built + 1
+        assert engine._structure.cache_info().misses == 4
+
+
+def _set_override(noise: NoiseModel, qubit: int) -> None:
+    noise.confusion_overrides[qubit] = ConfusionMatrix(p01=0.3, p10=0.1)
+
+
+#: In-place edits of a ``NoiseModel``, each with a function of it and the
+#: circuit's first measured qubit.
+NOISE_EDITS = {
+    "two_qubit_depol": lambda noise, q: setattr(noise, "two_qubit_depol", 0.08),
+    "single_qubit_depol": lambda noise, q: setattr(noise, "single_qubit_depol", 0.02),
+    "t2_echo": lambda noise, q: setattr(noise, "t2_echo", 10e-6),
+    "idle_law": lambda noise, q: setattr(noise, "idle_law", "linear"),
+    "confusion": lambda noise, q: setattr(noise, "confusion", ConfusionMatrix(p01=0.2, p10=0.05)),
+    "confusion_overrides": _set_override,
+}
+
+
+class TestFaultStructureCache:
+    """The fault structure of a built circuit is cached by circuit, noise on
+    or off and noisy recovery; the noise values are read on every run."""
+
+    @pytest.mark.parametrize("edit", NOISE_EDITS)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_noise_edited_in_place_takes_effect_on_a_warm_cache(self, family, n, edit):
+        """After an in-place edit, exact and seeded trajectory runs on the
+        warm cache equal, bit for bit, the same runs after ``cache_clear``."""
+        circuit = build_circuit(family, n)
+        noise = NoiseModel()
+        exact = RunConfig(input=InputState(1.0, 0.5), noise=noise, noisy_recovery=True)
+        sampled = dataclasses.replace(exact, mode="trajectories", shots=400, seed=5)
+        before = run(circuit, exact).pauli_law
+        run(circuit, sampled)
+        measured = circuit.measurements()
+        NOISE_EDITS[edit](noise, measured[0].qubit if measured else 0)
+
+        def runs():
+            law, shots = run(circuit, exact), run(circuit, sampled)
+            return (law.pauli_law.tobytes(), pickle.dumps(list(law.histogram.items())),
+                    pickle.dumps(shots.records), pickle.dumps(shots.histogram))
+
+        hits = engine._structure.cache_info().hits
+        warm = runs()
+        assert engine._structure.cache_info().hits == hits + 2
+        engine._structure.cache_clear()
+        assert runs() == warm
+        idles = circuits_module.idle_events(circuit)
+        acts_on = {"t2_echo": idles, "idle_law": idles, "confusion": measured,
+                   "confusion_overrides": measured}
+        if acts_on.get(edit, True):
+            assert warm[0] != before.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        config = RunConfig(input=PLUS, noise=CELL_NOISE, noisy_recovery=True)
+        faults, *_ = engine._fault_table(build_circuit("feedforward", 3), config)
+        arrays = {name: value for name, value in vars(faults).items()
+                  if isinstance(value, np.ndarray)}
+        assert set(arrays) >= {"x", "z", "flips", "fixed", "pulse", "step", "code", "kind"}
+        for name, array in arrays.items():
+            assert array.size, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+
+    @pytest.mark.parametrize("mode", ["exact", "trajectories"])
+    def test_idle_law_check_fires_on_a_warm_cache(self, mode, monkeypatch):
+        circuit = build_circuit("feedforward", 3)
+        config = RunConfig(input=PLUS, noise=NoiseModel(), mode=mode, shots=10, seed=1)
+        run(circuit, config)
+        monkeypatch.setitem(noise_module.IDLE_LAWS, "exponential", lambda t2: lambda duration: 1.5)
+        hits = engine._structure.cache_info().hits
+        with pytest.raises(ValueError, match=r"idle law returned 1.5, outside \[0, 1\]"):
+            run(circuit, config)
+        assert engine._structure.cache_info().hits == hits + 1
+
+    def test_traced_call_counts_do_not_depend_on_the_cache(self, monkeypatch):
+        """``idle_events`` and ``measure_count``, counted as a traced
+        benchmark pass counts them (every module attribute bound to the
+        function), are called as often on a cold cache as on a warm one."""
+        counts = {"idle_events": 0, "measure_count": 0}
+        original_idle = circuits_module.idle_events
+
+        def idle_events(circuit):
+            counts["idle_events"] += 1
+            return original_idle(circuit)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("fanout_sim")]:
+            for key, value in list(vars(module).items()):
+                if value is original_idle:
+                    monkeypatch.setattr(module, key, idle_events)
+        measure_count = Circuit.__dict__["measure_count"].fget
+
+        def counted(circuit):
+            counts["measure_count"] += 1
+            return measure_count(circuit)
+
+        monkeypatch.setattr(Circuit, "measure_count", property(counted))
+
+        def one_pass():  # 6 fault structures, which the cache holds at once
+            for family in FAMILIES:
+                circuit = build_circuit(family, 4)
+                config = RunConfig(input=PLUS, noise=NoiseModel(), noisy_recovery=True)
+                run(circuit, config)
+                run(circuit, dataclasses.replace(config, mode="trajectories", shots=20, seed=2))
+                cardinal_error(circuit)
+                run_exact(build_circuit(family, 2), RunConfig(input=PLUS, noise=NoiseModel()))
+            circuits_module.total_idle_time(circuit)
+            return dict(counts)
+
+        engine._structure.cache_clear()
+        cold = one_pass()
+        counts.update(idle_events=0, measure_count=0)
+        misses = engine._structure.cache_info().misses
+        assert one_pass() == cold
+        assert engine._structure.cache_info().misses == misses == 6
+        assert cold["idle_events"] > 0 and cold["measure_count"] > 0
 
 
 #: The inputs of a 9-point exact sweep: theta over [0, pi] at phi = 0, and phi
