@@ -8,6 +8,7 @@ program itself is not a configuration error and surfaces as a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -363,7 +364,9 @@ def cmd_crossover(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="fanout-sim",
         description="Fan-out protocol simulator and error-model explorer",

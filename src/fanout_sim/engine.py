@@ -2,7 +2,8 @@
 trajectory sampling.
 
 The law and the sampler share one fault table (``_fault_table``) in two
-parts. The faults' structure comes from one walk of the circuit (``_walk``)
+parts. The faults' structure, with every table of the law's scan that
+depends only on the circuit, comes from one walk of the circuit (``_walk``)
 and is cached by circuit, noise on or off and noisy recovery
 (``_structure``), as Stim analyses a circuit once and samples it many
 times; each run then reads its noise values into the faults' contrasts and
@@ -48,6 +49,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import weakref
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -405,13 +407,14 @@ def _run_law(circuit: Circuit, config: RunConfig) -> RunResult:
     has its law given r_j, and a recovery pulse's fault, which counts once
     per pulse that r fires, depend on the reported bits, so they are kept
     to the scan step of their pair and output. See ``_scan`` for the law:
-    it reads the faults' cached scan codes and this run's contrasts.
+    it reads the faults' cached scan tables and this run's contrasts.
     """
-    faults, contrast, outcomes, readouts = _fault_table(circuit, config)
+    faults, contrast, p01, p10 = _fault_table(circuit, config)
+    p0, p1 = (p01 + 1.0 - p10) / 2.0, (p10 + 1.0 - p01) / 2.0
+    outcomes = list(zip(faults.readout_column.tolist(), p0.tolist(), p1.tolist()))
     return RunResult(circuit.family, circuit.n_outputs, circuit.duration_ns, None,
                      _OutcomeLaw(outcomes), input=config.input, pruned_mass=0.0,
-                     pauli_law=_scan(circuit.n_outputs, faults.step, faults.code, contrast,
-                                     faults.fixed < 0, faults.pulse, readouts))
+                     pauli_law=_scan(circuit.n_outputs, faults, contrast, p0, p1, p01, p10))
 
 
 #: The most fault structures ``_structure`` keeps, least recently used out.
@@ -435,19 +438,21 @@ def _fault_table(circuit: Circuit, config: RunConfig):
     noisy recovery pulses is tabled once (the pulses multiply to a Pauli,
     which leaves the frames' bits and commutes with the site).
 
-    Returns (faults, contrast, outcomes, readouts): the ``_structure``,
-    each fault's contrast 1 - 2 P, each measurement's (column, P(0), P(1))
-    and each readout flip's (fault, op, confusion). Only the structure is
-    cached, so a noise model edited between runs takes effect.
+    Returns (faults, contrast, p01, p10): the ``_structure``, each fault's
+    contrast 1 - 2 P and each readout's confusion, in walk order. Only the
+    structure is cached, so a noise model edited between runs takes effect.
     """
     noise = config.noise
     faults = _structure(circuit.family, circuit.n_outputs, circuit.timing, noise is not None,
                         noise is not None and config.noisy_recovery)
-    readouts = [(column, op, _confusion(noise, op.qubit)) for column, op in faults.readouts]
-    outcomes = [(op.column, (conf.p01 + 1.0 - conf.p10) / 2.0, (conf.p10 + 1.0 - conf.p01) / 2.0)
-                for _, op, conf in readouts]
+    qubit = faults.readout_qubit
     if noise is None:
-        return faults, np.ones(len(faults.fixed)), outcomes, readouts
+        p01 = p10 = np.zeros(len(qubit))
+        return faults, np.ones(len(faults.fixed)), p01, p10
+    p01 = np.full(len(qubit), noise.confusion.p01, dtype=float)
+    p10 = np.full(len(qubit), noise.confusion.p10, dtype=float)
+    for q, conf in noise.confusion_overrides.items():
+        p01[qubit == q], p10[qubit == q] = conf.p01, conf.p10
     values = np.array([1.0, (1.0 - noise.single_qubit_depol) ** 0.5,
                        (1.0 - noise.two_qubit_depol) ** (0.5 / 4),
                        math.sqrt(1.0 - noise.single_qubit_depol)])
@@ -458,7 +463,7 @@ def _fault_table(circuit: Circuit, config: RunConfig):
     first, duration = faults.idle_joins  # a joined site's three columns are equal
     np.multiply.at(contrast, first, idle_c[duration])
     contrast[faults.joined[:, None] + np.arange(1, 3)] = contrast[faults.joined, None]
-    return faults, contrast, outcomes, readouts
+    return faults, contrast, p01, p10
 
 
 @functools.lru_cache(maxsize=_STRUCTURES)
@@ -471,14 +476,19 @@ def _structure(family: str, n: int, timing, noisy: bool, noisy_recovery: bool) -
     outputs and the measured columns it flips, a row each, packed 8 faults
     to a byte (see ``_add_faults``). ``fixed`` is the scan step of a fault
     that depends on the reported bits (a readout flip's pair, a noisy
-    recovery pulse's output; else -1), ``pulse`` whether it follows a
-    recovery pulse, ``step`` and ``code`` its scan step and scan bits
-    (``_fault_codes``), and ``kind`` what sets its contrast. Each idle slot
-    is a column (its site's first fault, the index of its duration in
-    ``durations``) of ``idle_sites`` if it opened the site and of
-    ``idle_joins`` if it joined an open one, in walk order; ``joined`` lists
-    the first faults of the sites that some slot joined. ``readouts`` holds
-    each measurement's (readout flip column, op).
+    recovery pulse's output; else -1), ``step`` and ``code`` its scan step
+    and scan bits (``_fault_codes``), and ``kind`` what sets its contrast.
+    ``independent`` and ``pulses`` list the faults with no fixed step and
+    those that follow a recovery pulse, and ``independent_cells`` and
+    ``pulse_cells`` their ``16 step + code``. Each idle slot is a column
+    (its site's first fault, the index of its duration in ``durations``) of
+    ``idle_sites`` if it opened the site and of ``idle_joins`` if it joined
+    an open one, in walk order; ``joined`` lists the first faults of the
+    sites that some slot joined. Per measurement, in walk order,
+    ``readout_qubit``, ``readout_column``, ``readout_slot`` and
+    ``readout_x`` hold its qubit, reported column, recovery slot and
+    whether its role is x, and ``readout_flipped`` the ``_PARITY`` row of
+    its readout flip's scan code.
 
     It reads no noise value and calls no function that a traced benchmark
     pass counts (``idle_events``, ``measure_count``), so a run on a cached
@@ -538,10 +548,18 @@ def _structure(family: str, n: int, timing, noisy: bool, noisy_recovery: bool) -
     joined = np.concatenate([np.zeros(0, dtype=bool)] + idle_joined)
     heads = np.zeros(start, dtype=bool)
     heads[slots[0, joined]] = True
-    faults = SimpleNamespace(x=x, z=z, flips=flips, fixed=fixed, pulse=kind == _PULSE, step=step,
-                             code=code, kind=kind, idle_sites=slots[:, ~joined],
-                             idle_joins=slots[:, joined], joined=np.flatnonzero(heads),
-                             durations=tuple(durations), readouts=tuple(readouts))
+    independent, pulses = np.flatnonzero(fixed < 0), np.flatnonzero(kind == _PULSE)
+    flip, qubit, column, slot, role_x = np.array(
+        [(start, op.qubit, op.column, op.slot, op.role == "x") for start, op in readouts],
+        dtype=int).reshape(-1, 5).T.copy()
+    faults = SimpleNamespace(x=x, z=z, flips=flips, fixed=fixed, step=step, code=code, kind=kind,
+                             independent=independent, pulses=pulses,
+                             independent_cells=16 * step[independent] + code[independent],
+                             pulse_cells=16 * step[pulses] + code[pulses],
+                             idle_sites=slots[:, ~joined], idle_joins=slots[:, joined],
+                             joined=np.flatnonzero(heads), durations=tuple(durations),
+                             readout_qubit=qubit, readout_column=column, readout_slot=slot,
+                             readout_x=role_x.astype(bool), readout_flipped=_PARITY[code[flip]])
     for value in vars(faults).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -623,9 +641,11 @@ def _fault_codes(circuit: Circuit, x: np.ndarray, z: np.ndarray, flips: np.ndarr
     return step, a + 2 * b + 4 * x1 + 8 * parity
 
 
-def _scan(n: int, step: np.ndarray, code: np.ndarray, contrast: np.ndarray,
-          independent: np.ndarray, pulse: np.ndarray, readouts) -> np.ndarray:
-    """The (3, 2) law of x (0...0, 1...1, other) and the Z parity.
+def _scan(n: int, faults, contrast: np.ndarray, p0: np.ndarray, p1: np.ndarray,
+          p01: np.ndarray, p10: np.ndarray) -> np.ndarray:
+    """The (3, 2) law of x (0...0, 1...1, other) and the Z parity, from the
+    ``_structure`` of the faults, their contrasts, and each readout's P(0),
+    P(1) and confusion.
 
     The scan's state is a probability over the 4 scan bits of the current
     step, whether some closed d bit was 1 (the x = other row), and the
@@ -637,26 +657,32 @@ def _scan(n: int, step: np.ndarray, code: np.ndarray, contrast: np.ndarray,
     pulses of its output's noisy recovery (X when the parity is 1, three for
     Z when r_z is 1). Then it closes its d bit.
     """
-    group, site = (_step_characters(n, step[chosen], code[chosen], contrast[chosen])
-                   for chosen in (independent, pulse))
+    group = _step_characters(n, faults.independent_cells, contrast[faults.independent])
+    site = (_step_characters(n, faults.pulse_cells, contrast[faults.pulses]) if faults.pulses.size
+            else np.ones((n, 16)))
+    flipped, x = faults.readout_flipped, faults.readout_x
+    by_0 = p0[:, None] - np.where(flipped, p01[:, None], 0.0)  # per readout and character
+    by_1 = p1[:, None] - np.where(flipped, p10[:, None], 0.0)
     keep, move, zsum = np.ones((n, 16)), np.zeros((n, 16)), np.ones((n, 16))
-    for row, op, conf in readouts:
-        flipped = _PARITY[code[row]]
-        by_bit = ((conf.p01 + 1.0 - conf.p10) / 2.0 - np.where(flipped, conf.p01, 0.0),
-                  (conf.p10 + 1.0 - conf.p01) / 2.0 - np.where(flipped, conf.p10, 0.0))
-        if op.role == "x":
-            keep[op.slot], move[op.slot] = by_bit
-        else:
-            zsum[op.slot] = by_bit[0] + by_bit[1] * site[op.slot] ** 3
+    slot = faults.readout_slot[x]
+    keep[slot], move[slot] = by_0[x], by_1[x]
+    slot = faults.readout_slot[~x]
+    zsum[slot] = by_0[~x] + by_1[~x] * site[slot] ** 3
     power = np.stack([np.ones_like(site), site], axis=2)  # site^P for P = 0, 1
-    keep = (group * zsum * keep)[:, :, None] * power
-    move = (group * zsum * move)[:, :, None] * power
-    state = np.zeros(64)
+    # Per step, indexed (u, g, P) as a step's spectrum is, equal for both g.
+    keep = ((group * zsum * keep)[:, :, None] * power).reshape(n, 16, 1, 2)
+    move = ((group * zsum * move)[:, :, None] * power).reshape(n, 16, 1, 2)
+    # One set of buffers for every step, with fixed views of them.
+    state, spec, moved = np.zeros(64), np.empty((16, 2, 2)), np.empty((16, 2, 2))
     state[0] = 1.0
-    for t in range(n):
-        spec = (_HADAMARD @ state.reshape(16, 4)).reshape(16, 2, 2)
-        spec = keep[t, :, None] * spec + move[t, :, None] * spec[:, :, ::-1]
-        state = _CLOSE @ spec.ravel()
+    state_4, spec_4, spec_64, swapped = (state.reshape(16, 4), spec.reshape(16, 4),
+                                         spec.reshape(64), spec[:, :, ::-1])
+    for keep_t, move_t in zip(keep, move):
+        np.dot(_HADAMARD, state_4, out=spec_4)
+        np.multiply(move_t, swapped, out=moved)
+        np.multiply(keep_t, spec, out=spec)
+        np.add(spec, moved, out=spec)
+        np.dot(_CLOSE, spec_64, out=state)
     state = state.reshape(16, 2, 2).sum(axis=2)
     return np.array([state[[0, 8], 0], state[[4, 12], 0], state[[0, 8], 1]])
 
@@ -682,11 +708,11 @@ def _closing() -> np.ndarray:
 _CLOSE = _closing()
 
 
-def _step_characters(n: int, step, code, contrast) -> np.ndarray:
+def _step_characters(n: int, cells, contrast) -> np.ndarray:
     """Per step and character, the product of the contrasts of the faults
-    that change it."""
+    whose ``16 step + code`` are ``cells`` that change it."""
     per_code = np.ones(16 * n)
-    np.multiply.at(per_code, 16 * step + code, contrast)
+    np.multiply.at(per_code, cells, contrast)
     return np.where(_PARITY, per_code.reshape(n, 1, 16), 1.0).prod(axis=2)
 
 
@@ -752,14 +778,12 @@ def _sample(circuit: Circuit, config: RunConfig, table) -> RunResult:
     probabilities (a success flips with the true bit's share), and 4 slots
     per pulse fault, of which a shot keeps as many as its recovery has.
     """
-    faults, contrast, _, readouts = table
-    x, z, flips, fixed, pulse = faults.x, faults.z, faults.flips, faults.fixed, faults.pulse
+    structure, contrast, p01, p10 = table
+    x, z, flips, fixed = structure.x, structure.z, structure.flips, structure.fixed
+    faults, pulses, column = structure.independent, structure.pulses, structure.readout_column
     n, shots = circuit.n_outputs, config.shots
     rng = np.random.default_rng(config.seed)
     ref = rng.integers(0, 2, size=(shots, len(flips)), dtype=bool)  # columns z1 x1 z2 x2 ...
-    faults, pulses = np.flatnonzero(fixed < 0), np.flatnonzero(pulse)
-    column = np.array([op.column for _, op, _ in readouts], dtype=int)
-    p10, p01 = np.array([[c.p10, c.p01] for _, _, c in readouts]).reshape(-1, 2).T
     p_max = np.maximum(p10, p01)
     trials = np.concatenate([(1.0 - contrast[faults]) / 2.0, p_max,
                              np.tile((1.0 - contrast[pulses]) / 2.0, 4)])
@@ -843,15 +867,24 @@ def _check_built(circuit: Circuit) -> None:
     Frames follow only Clifford gates after an input pulse that comes first
     on its qubit, and the uniform outcomes and output states they rest on
     hold for the circuits ``build_circuit`` makes, so any other is refused.
+    A ``Circuit`` is frozen, so one that passed is remembered by identity,
+    as long as it lives, and is not compared again.
     """
+    if _accepted.get(id(circuit)) is circuit:
+        return
     n = circuit.n_outputs
     if n >= 2 and circuit == _built(circuit.family, n, circuit.timing):
+        _accepted[id(circuit)] = circuit
         return
     _check_frame_ops(circuit)
     raise ValueError(
         "run takes only circuits equal to build_circuit(family, n_outputs, timing); "
         "use run_exact for any other"
     )
+
+
+#: The circuits that ``_check_built`` accepted, by id, while they live.
+_accepted: weakref.WeakValueDictionary[int, Circuit] = weakref.WeakValueDictionary()
 
 
 @functools.lru_cache(maxsize=64)
@@ -948,6 +981,12 @@ def run_inputs(circuit: Circuit, configs: list[RunConfig]) -> list[RunResult]:
     return [dataclasses.replace(law, input=c.input) for c in configs]
 
 
+#: Per entry of a raveled ``pauli_law``: whether x is 0...0, whether it is
+#: 1...1, and s.
+_LAW_ZEROS, _LAW_ONES = np.repeat([0, 1, 2], 2) == 0, np.repeat([0, 1, 2], 2) == 1
+_LAW_SIGN = np.tile([1.0, -1.0], 3)
+
+
 def _output_paulis(result: RunResult):
     """The Paulis P = X^x Z^z that a law or trajectory result puts on its
     input's a|0...0> + b|1...1>, giving a|x> + s b|~x> up to a phase with
@@ -956,9 +995,7 @@ def _output_paulis(result: RunResult):
     if result.input is None:
         raise ValueError("a Pauli-law or trajectory result needs its input to evaluate it")
     if result.pauli_law is not None:
-        row = np.repeat([0, 1, 2], 2)  # x = 0...0, 1...1, other
-        sign = np.tile([1.0, -1.0], 3)
-        return row == 0, row == 1, sign, result.pauli_law.ravel(), result.input.amplitudes()
+        return _LAW_ZEROS, _LAW_ONES, _LAW_SIGN, result.pauli_law.ravel(), result.input.amplitudes()
     records = result.records
     x = np.array([r.pauli.x_flips for r in records], dtype=bool)
     x ^= np.array([r.frame.x_flips for r in records], dtype=bool)

@@ -281,7 +281,11 @@ class TestCrossoverCommand:
         assert "eps_cnot_avg" in header and "mu" in header
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        """Also with another command between the two, on the one parser
+        that every ``main`` call of the process shares."""
         assert main(["crossover", "--out", str(tmp_path / "a")]) == 0
+        assert main(["crossover", "--rates", "eps_cnot=0.02", "--n-max", "50",
+                     "--out", str(tmp_path / "other")]) == 0
         assert main(["crossover", "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "crossover.txt").read_bytes() == (
             tmp_path / "b" / "crossover.txt"

@@ -1,6 +1,7 @@
 """Protocol engine tests: exact branch enumeration and trajectories."""
 import dataclasses
 import functools
+import gc
 import json
 import math
 import pickle
@@ -196,6 +197,36 @@ def test_pauli_law_matches_dense_oracle(family, n, mode, label):
         assert abs(law.histogram.get(key, 0.0) - dense.histogram.get(key, 0.0)) <= tol, key
 
 
+LAW_REFERENCE = Path(__file__).with_name("law_reference.json")
+#: Every (family, n, mode) case of the checked-in law values, past the
+#: oracle's ceiling too.
+LAW_REFERENCE_CASES = list(product(FAMILIES, (2, 5, 32, 200),
+                                   ("device", "device+noisy_recovery", "strong+noisy_recovery")))
+
+
+def _law_values(family, n, mode) -> list[str]:
+    """The six entries of the case's ``pauli_law``, as ``float.hex`` strings."""
+    noise, noisy_recovery = LAW_MODES[mode]
+    config = RunConfig(input=PLUS, noise=LAW_NOISES[noise], noisy_recovery=noisy_recovery)
+    return [float.hex(p) for p in run(build_circuit(family, n), config).pauli_law.ravel().tolist()]
+
+
+@pytest.mark.parametrize("family,n,mode", LAW_REFERENCE_CASES)
+def test_pauli_law_matches_reference(family, n, mode):
+    """The law equals, bit for bit, values checked in from an earlier
+    engine. ``python tests/test_engine.py`` rewrites them from the code on
+    ``sys.path``, with ``exact_reference.json``."""
+    expected = json.loads(LAW_REFERENCE.read_text())[f"{family}-n{n}-{mode}"]
+    assert _law_values(family, n, mode) == expected
+
+
+def write_law_reference() -> None:
+    """Rewrite ``law_reference.json`` from the code on ``sys.path``."""
+    values = {f"{family}-n{n}-{mode}": _law_values(family, n, mode)
+              for family, n, mode in LAW_REFERENCE_CASES}
+    LAW_REFERENCE.write_text(json.dumps(values, indent=1) + "\n")
+
+
 @pytest.mark.parametrize("noisy_recovery", [False, True], ids=["clean", "noisy_recovery"])
 @pytest.mark.parametrize("n", [8, 32, 200])
 @pytest.mark.parametrize("family", FAMILIES)
@@ -264,13 +295,36 @@ def test_sampled_cells_and_keys_match_the_law(family, n):
 
 
 class TestRunDispatch:
-    def test_built_circuit_runs_as_a_pauli_law(self):
+    def test_built_circuit_runs_as_a_pauli_law(self, monkeypatch):
+        """Once accepted, a circuit object runs again without being compared
+        with its build; an equal new object is compared once, and its entry
+        goes when it is garbage-collected."""
         config = RunConfig(input=PLUS, noise=NoiseModel.device_medians())
-        result = run(build_constant_depth(3), config)
+        circuit = build_constant_depth(3)
+        result = run(circuit, config)
         assert result.pauli_law.shape == (3, 2)
         assert result.output_state is None
         assert result.branches is None
         assert result.pruned_mass == 0.0
+        compared = []
+
+        def eq(self, other, _original=Circuit.__eq__):
+            compared.append(self.n_outputs)
+            return _original(self, other)
+
+        monkeypatch.setattr(Circuit, "__eq__", eq)
+        again = run(circuit, config)
+        assert again.pauli_law.tobytes() == result.pauli_law.tobytes()
+        assert compared == []
+        twin = build_constant_depth(3)
+        run(twin, config)
+        run_inputs(twin, [config])
+        assert compared == [3]
+        key = id(twin)
+        assert engine._accepted[key] is twin
+        del twin
+        gc.collect()
+        assert key not in engine._accepted
 
     def test_law_histogram_is_a_product_computed_per_key(self):
         """At n = 200 the 4^199 outcomes are never listed: the first key in
@@ -294,8 +348,9 @@ class TestRunDispatch:
         within the noise of the ideal U|in>."""
         circuit = _one_qubit_circuit(PrepareInputOp(0), gate)
         config = RunConfig(input=InputState(1.0, 0.5), noise=noise)
-        with pytest.raises(ValueError, match="run_exact"):
-            run(circuit, config)
+        for _ in range(2):  # a refused circuit is not remembered
+            with pytest.raises(ValueError, match="run_exact"):
+                run(circuit, config)
         with pytest.raises(ValueError, match="run_exact"):
             run_inputs(circuit, [config, dataclasses.replace(config, input=PLUS)])
         with pytest.raises(ValueError, match="run_exact"):
@@ -339,8 +394,9 @@ class TestRunDispatch:
         """A 5-point trajectory sweep builds the circuit's fault structure
         with one walk, and each point's records and histogram are those of
         its own ``run``, byte for byte. A later run of the same circuit with
-        another noise model, seed and input builds nothing; noisy recovery,
-        no noise and another timing each build one structure."""
+        another noise model, seed and input builds nothing, and its exact runs
+        scan the tables of that one structure; noisy recovery, no noise and
+        another timing each build one structure."""
         circuit = build_circuit(family, 3)
         configs = [RunConfig(input=InputState(float(a), 0.5), noise=CELL_NOISE, mode="trajectories",
                              shots=300, seed=7)
@@ -361,9 +417,18 @@ class TestRunDispatch:
             assert pickle.dumps(result.records) == pickle.dumps(want.records)
             assert pickle.dumps(result.histogram) == pickle.dumps(want.histogram)
         other = dataclasses.replace(configs[0], input=ONE, noise=NoiseModel(), seed=11)
+        scanned = []
+
+        def scan(n, faults, *args, _original=engine._scan):
+            scanned.append(faults)
+            return _original(n, faults, *args)
+
+        monkeypatch.setattr(engine, "_scan", scan)
         run(circuit, other)
         run(circuit, dataclasses.replace(other, mode="exact"))
+        run(circuit, dataclasses.replace(other, mode="exact", input=PLUS, noise=CELL_NOISE))
         assert len(walks) == 1
+        assert len(scanned) == 2 and scanned[0] is scanned[1]
         timing = TimingModel(t_ff_latency=400.0, step_feedforward=528.0)
         for variant, config in ((circuit, dataclasses.replace(other, noisy_recovery=True)),
                                 (circuit, dataclasses.replace(other, noise=None)),
@@ -431,7 +496,9 @@ class TestFaultStructureCache:
         faults, *_ = engine._fault_table(build_circuit("feedforward", 3), config)
         arrays = {name: value for name, value in vars(faults).items()
                   if isinstance(value, np.ndarray)}
-        assert set(arrays) >= {"x", "z", "flips", "fixed", "pulse", "step", "code", "kind"}
+        assert set(arrays) >= {"x", "z", "flips", "fixed", "step", "code", "kind", "independent",
+                               "pulses", "independent_cells", "pulse_cells", "readout_qubit",
+                               "readout_column", "readout_slot", "readout_x", "readout_flipped"}
         for name, array in arrays.items():
             assert array.size, name
             with pytest.raises(ValueError, match="read-only"):
@@ -1054,3 +1121,4 @@ def test_noisy_recovery_option_adds_error():
 
 if __name__ == "__main__":
     write_reference()
+    write_law_reference()

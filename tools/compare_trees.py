@@ -24,6 +24,11 @@ frames, histogram, and each shot's fidelity and joint-X, from one-record
 results through the tree's own ``output_fidelity`` and
 ``joint_x_expectation``). Each engine's configurations are tallied apart.
 
+The "law" engine also runs past the dense ceiling, at n = 32 and 200 for
+all three families, with the same inputs and noise modes: fidelity, joint-X,
+``pauli_law`` and, without listing the 4^(n-1) outcomes, the histogram's
+probabilities of its first key and of that key's complement.
+
 The CLI catalogue of the benchmark (``bench/workloads.py``) runs too: every
 ``sweep`` of its ``CLI_GRID`` (theta and phi) and every ``tomo`` of its
 ``TOMO_SIZES`` with each of the six cardinal inputs, in process. Each "cli"
@@ -57,6 +62,9 @@ INPUTS = {
     "theta=1.0,phi=0.5": (1.0, 0.5),
 }
 MODES = ("noiseless", "device", "device+noisy_recovery", "strong+noisy_recovery")
+#: Circuits past the dense ceiling, run as a law only.
+LARGE_CIRCUITS = tuple((family, n) for family in ("feedforward", "pauli_frame", "unitary")
+                       for n in (32, 200))
 SHOTS = 300
 SEED = 17
 #: A configuration's verdict is its worst field's, in this order.
@@ -124,12 +132,7 @@ def _run_grid() -> dict:
             fields["branches.states"] = np.stack([s.amplitudes for _, _, s in exact.branches])
         results["exact " + name] = fields
 
-        law = run(circuit, config)
-        results["law " + name] = {
-            "fidelity": np.array(output_fidelity(law, inp)),
-            "joint_x": np.array(joint_x_expectation(law)),
-            "pauli_law": law.pauli_law,
-        }
+        results["law " + name] = _law_fields(run(circuit, config), inp)
 
         traj = run_trajectory(circuit, dataclasses.replace(
             config, mode="trajectories", shots=SHOTS, seed=SEED))
@@ -143,7 +146,32 @@ def _run_grid() -> dict:
             "shots.joint_x": np.array([joint_x_expectation(shot) for shot in shots]),
             **_histogram(traj),
         }
+    for family, n in LARGE_CIRCUITS:
+        circuit = build_circuit(family, n)
+        for label in INPUTS:
+            inp = InputState(*INPUTS[label])
+            for mode in MODES:
+                config = RunConfig(input=inp, noise=_noise(mode),
+                                   noisy_recovery=mode.endswith("noisy_recovery"))
+                law = run(circuit, config)
+                first = next(iter(law.histogram))
+                complement = first.translate(str.maketrans("01", "10"))
+                results[f"law {family} n={n} input={label} {mode}"] = {
+                    **_law_fields(law, inp),
+                    "histogram.first": np.array(law.histogram[first]),
+                    "histogram.complement": np.array(law.histogram.get(complement, 0.0)),
+                }
     return results
+
+
+def _law_fields(law, inp) -> dict:
+    from fanout_sim.engine import joint_x_expectation, output_fidelity
+
+    return {
+        "fidelity": np.array(output_fidelity(law, inp)),
+        "joint_x": np.array(joint_x_expectation(law)),
+        "pauli_law": law.pauli_law,
+    }
 
 
 def _table_fields(name: str, text: str) -> dict[str, str]:
